@@ -13,6 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from .distributions import multinomial_pmf, mvhyper_pmf
+from .population import as_index
 from .verify import (
     DesignConfig,
     EnumerationLimitError,
@@ -108,11 +109,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     pop_mapping = _load_json_file(args.population)
     design = _load_design(args.design)
     inst = Instance.from_mapping(pop_mapping)
-    name = design.get("design")
+    name = design.get("design") if isinstance(design, dict) else None
     if name in COUNT_DESIGNS:
         if inst.classified is None:
             raise CliError("count enumeration requires 'subgroup_sizes' in the population file")
-        n = int(design["n"])
+        n = as_index(design["n"], "n")
         replacement = name == "counts_wr"
         dist = enumerate_count_distribution(inst.classified, n, replacement)
         mean, cov = count_moments(dist)

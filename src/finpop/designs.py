@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .population import NetworkPartition, Population, SizeWeights
+from .population import NetworkPartition, Population, SizeWeights, as_indices
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def random_group_split(seq: DrawSequence, sizes: Sequence[int]) -> GroupedSample
     """
     if seq.replacement:
         raise ValueError("random group split requires a without-replacement draw")
-    sizes = tuple(int(s) for s in sizes)
+    sizes = as_indices(sizes, "group size")
     if any(s < 1 for s in sizes):
         raise ValueError("every group size must be >= 1")
     if sum(sizes) != seq.n:

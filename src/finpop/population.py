@@ -4,11 +4,29 @@ extension proportional to integer size weights, and network flattening."""
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
+
+
+def as_index(value: object, what: str) -> int:
+    """value as an exact int (operator.index semantics: 2.9 and "2" are
+    rejected, never truncated or parsed)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def as_indices(values: Iterable, what: str) -> tuple[int, ...]:
+    """as_index over every item, at C speed."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ValueError(f"every {what} must be an integer: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -18,7 +36,10 @@ class Population:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
+        try:
+            vals = tuple(float(v) for v in self.values)
+        except TypeError:
+            raise ValueError("population values must be numbers") from None
         if len(vals) < 1:
             raise ValueError("population must contain at least one unit")
         if not all(math.isfinite(v) for v in vals):
@@ -59,7 +80,7 @@ class ClassifiedPopulation:
     subgroup_sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.subgroup_sizes)
+        sizes = as_indices(self.subgroup_sizes, "subgroup size")
         if len(sizes) < 1:
             raise ValueError("at least one subgroup is required")
         if any(s < 1 for s in sizes):
@@ -88,7 +109,7 @@ class SizeWeights:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = as_indices(self.sizes, "size weight")
         if len(sizes) < 1:
             raise ValueError("at least one size weight is required")
         if any(s < 1 for s in sizes):
@@ -126,7 +147,9 @@ class Adjacency:
     neighbors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        lists = tuple(tuple(sorted(set(int(j) for j in row))) for row in self.neighbors)
+        lists = tuple(
+            tuple(sorted(set(as_indices(row, "neighbour index")))) for row in self.neighbors
+        )
         n = len(lists)
         for i, row in enumerate(lists):
             for j in row:

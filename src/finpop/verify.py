@@ -20,6 +20,8 @@ from .population import (
     NetworkPartition,
     Population,
     SizeWeights,
+    as_index,
+    as_indices,
     compute_networks,
     extend_pps,
     flatten_networks,
@@ -69,26 +71,33 @@ class DesignConfig:
     def __post_init__(self) -> None:
         if self.design not in DESIGN_NAMES:
             raise ValueError(f"unknown design {self.design!r}; expected one of {DESIGN_NAMES}")
+        for name in ("n", "n1"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, as_index(value, name))
         if self.group_sizes is not None:
-            sizes = tuple(int(s) for s in self.group_sizes)
+            sizes = as_indices(self.group_sizes, "group size")
             if len(sizes) < 2 or any(s < 1 for s in sizes):
                 raise ValueError("group_sizes must be >= 2 positive integers")
             object.__setattr__(self, "group_sizes", sizes)
 
     @classmethod
     def from_mapping(cls, m: Mapping) -> "DesignConfig":
+        _require(
+            isinstance(m, Mapping), f"design config must be a JSON object, got {type(m).__name__}"
+        )
         extra = set(m) - {"design", "n", "n1", "group_sizes"}
         if extra:
             raise ValueError(f"unknown design config keys: {sorted(extra)}")
         if "design" not in m:
             raise ValueError("design config requires a 'design' key")
-        gs = m.get("group_sizes")
-        return cls(
-            design=str(m["design"]),
-            n=None if m.get("n") is None else int(m["n"]),
-            n1=None if m.get("n1") is None else int(m["n1"]),
-            group_sizes=None if gs is None else tuple(int(s) for s in gs),
-        )
+        return cls(m["design"], m.get("n"), m.get("n1"), m.get("group_sizes"))
+
+
+def _list_field(m: Mapping, key: str) -> tuple:
+    value = m[key]
+    _require(isinstance(value, (list, tuple)), f"{key!r} must be a list, got {type(value).__name__}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -102,10 +111,13 @@ class Instance:
 
     @classmethod
     def from_mapping(cls, m: Mapping) -> "Instance":
-        pop = Population(tuple(m["values"])) if "values" in m else None
-        weights = SizeWeights(tuple(m["sizes"])) if m.get("sizes") is not None else None
+        _require(
+            isinstance(m, Mapping), f"population must be a JSON object, got {type(m).__name__}"
+        )
+        pop = Population(_list_field(m, "values")) if "values" in m else None
+        weights = SizeWeights(_list_field(m, "sizes")) if m.get("sizes") is not None else None
         classified = (
-            ClassifiedPopulation(tuple(m["subgroup_sizes"]))
+            ClassifiedPopulation(_list_field(m, "subgroup_sizes"))
             if m.get("subgroup_sizes") is not None
             else None
         )
@@ -115,8 +127,13 @@ class Instance:
                 raise ValueError("adjacency requires population values")
             if m.get("threshold") is None:
                 raise ValueError("adjacency requires a threshold")
-            adj = Adjacency(tuple(tuple(row) for row in m["adjacency"]))
-            partition = compute_networks(pop, adj, float(m["threshold"]))
+            rows = _list_field(m, "adjacency")
+            threshold = m["threshold"]
+            _require(
+                isinstance(threshold, (int, float)),
+                f"threshold must be a number, got {threshold!r}",
+            )
+            partition = compute_networks(pop, Adjacency(rows), float(threshold))
         return cls(pop, weights, partition, classified)
 
 
@@ -336,8 +353,30 @@ def count_moments(dist: Mapping[tuple[int, ...], float]) -> tuple[np.ndarray, np
 # ---------------------------------------------------------------------------
 # Monte Carlo harness.
 
-def _block_values(spec: EstimatorSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    values = np.asarray(spec.values, dtype=float)
+def _wor_indices(rng: np.random.Generator, size: int, universe: int, n: int) -> np.ndarray:
+    """(size, n) array whose rows are independent uniform ordered draws of n
+    distinct indices from range(universe).
+
+    Up to universe = 4n, sorting universe random keys per row is fastest and
+    costs O(n log n) there.  Above it, batched Floyd sampling (Bentley &
+    Floyd, CACM 1987) draws each row's n-subset in n vectorized steps, and a
+    per-row permutation makes the order uniform too, which random groups need.
+    """
+    if universe <= 4 * n:
+        keys = rng.random((size, universe))
+        return np.argsort(keys, axis=1)[:, :n]
+    idx = np.empty((size, n), dtype=np.int64)
+    for j in range(n):
+        top = universe - n + j
+        t = rng.integers(0, top + 1, size=size)
+        taken = (idx[:, :j] == t[:, None]).any(axis=1)
+        idx[:, j] = np.where(taken, top, t)
+    return rng.permuted(idx, axis=1)
+
+
+def _block_values(
+    spec: EstimatorSpec, values: np.ndarray, rng: np.random.Generator, size: int
+) -> np.ndarray:
     if spec.weight_sizes is not None:
         cum = np.cumsum(spec.weight_sizes)
         r = rng.integers(0, int(cum[-1]), size=(size, spec.n))
@@ -345,8 +384,7 @@ def _block_values(spec: EstimatorSpec, rng: np.random.Generator, size: int) -> n
     elif spec.replacement:
         idx = rng.integers(0, spec.universe, size=(size, spec.n))
     else:
-        keys = rng.random((size, spec.universe))
-        idx = np.argsort(keys, axis=1)[:, : spec.n]
+        idx = _wor_indices(rng, size, spec.universe, spec.n)
     drawn = values[idx]
     if spec.group_sizes is None:
         return drawn.mean(axis=1)
@@ -390,15 +428,16 @@ def simulate_blocks(
     """Per-block (count, mean, sum of squared deviations) accumulators.
 
     Block b draws from a stream derived deterministically from (seed, b), so
-    any execution order or worker count reproduces the same accumulators.
+    any execution order reproduces the same accumulators.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     spec = estimator_spec(inst, config)
+    values = np.asarray(spec.values, dtype=float)
     out = []
     for b, size in enumerate(_block_sizes(trials)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(b,)))
-        v = _block_values(spec, rng, size)
+        v = _block_values(spec, values, rng, size)
         m = float(v.mean())
         m2 = float(((v - m) ** 2).sum())
         out.append((size, m, m2))
@@ -490,7 +529,8 @@ def run_monte_carlo(
         if (enum is not None and theo.variance is not None)
         else None
     )
-    verdict = all(v for v in checks.values() if v is not None)
+    evaluated = [v for v in checks.values() if v is not None]
+    verdict = bool(evaluated) and all(evaluated)
 
     point = mean
     if spec.estimand == "mean":
@@ -608,6 +648,12 @@ def relative_efficiency(
         var_wr = rep_wr.empirical["variance"]
         se_wor = rep_wor.empirical["standard_error_variance"]
         se_wr = rep_wr.empirical["standard_error_variance"]
+        if se_wor is None or se_wr is None:
+            raise ValueError(
+                f"trials={trials} is too few for the Monte Carlo fallback: the standard error "
+                "of a variance needs at least two blocks with two or more trials each "
+                f"(trials >= {NUM_BLOCKS + 2})"
+            )
         method = "monte_carlo"
 
     if var_wr <= DEGENERATE_VARIANCE:

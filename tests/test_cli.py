@@ -171,3 +171,26 @@ class TestEnumerateCommand:
         )
         assert code == 1
         assert "limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, population, design, extra",
+    [
+        ("verify", [1, 2, 3], '{"design": "srs", "n": 2}', ["--seed", "1"]),
+        ("verify", POP5, '{"design": "srs", "n": [2]}', ["--seed", "1"]),
+        ("enumerate", POP_COUNTS, '{"design": "counts", "n": [2]}', []),
+        ("verify", {"values": 5}, '{"design": "srs", "n": 2}', ["--seed", "1"]),
+        ("verify", {"values": [1, [2]]}, '{"design": "srs", "n": 2}', ["--seed", "1"]),
+        ("verify", {"values": [1, 2], "adjacency": [1, 0], "threshold": 0},
+         '{"design": "acs", "n1": 1}', ["--seed", "1"]),
+        ("compare", {"values": list(range(40))}, '{"design": "srs", "n": 6}',
+         ["--trials", "50", "--seed", "1"]),
+    ],
+)
+def test_bad_input_exits_1_without_traceback(tmp_path, capsys, command, population, design, extra):
+    pop = write(tmp_path, "pop.json", population)
+    code = main([command, "--population", pop, "--design", design, *extra])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from finpop import (
     ClassifiedPopulation,
     DesignConfig,
+    DrawSequence,
     EnumerationLimitError,
     Instance,
     NetworkPartition,
@@ -19,11 +21,12 @@ from finpop import (
     enumerate_moments,
     multinomial_pmf,
     mvhyper_pmf,
+    random_group_split,
     relative_efficiency,
     run_monte_carlo,
     theoretical_moments,
 )
-from finpop.verify import _merge_moments, simulate_blocks
+from finpop.verify import _merge_moments, _wor_indices, simulate_blocks
 
 POP5_INST = Instance(population=Population((1, 2, 3, 4, 5)))
 PPS_INST = Instance(population=Population((2, 2, 3)), weights=SizeWeights((1, 2, 3)))
@@ -245,6 +248,56 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             run_monte_carlo(POP5_INST, DesignConfig("srs", n=2), 0, 1)
 
+    def test_verdict_fails_when_no_check_ran(self):
+        # One trial gives no standard error, and N=5000 is beyond the oracle.
+        inst = Instance(population=Population(tuple(range(5000))))
+        rep = run_monte_carlo(inst, DesignConfig("srs", n=10), 1, 1)
+        assert all(v is None for v in rep.checks.values())
+        assert rep.verdict is False
+
+
+class TestWorIndices:
+    # _wor_indices sorts keys up to universe = 4n and uses Floyd above it;
+    # the cases sit on both sides of that cutoff.
+    @pytest.mark.parametrize(
+        "universe, n",
+        [(1, 1), (5, 5), (8, 3), (12, 3), (8, 6), (13, 3), (40, 6), (5000, 10)],
+    )
+    def test_rows_distinct_and_in_range(self, universe, n):
+        idx = _wor_indices(np.random.default_rng(universe * 100 + n), 3000, universe, n)
+        assert idx.shape == (3000, n)
+        assert idx.min() >= 0 and idx.max() < universe
+        assert (np.diff(np.sort(idx, axis=1), axis=1) > 0).all()
+
+    @pytest.mark.parametrize("universe", [12, 13])
+    def test_ordered_triples_uniform(self, universe):
+        trials = 100_000
+        idx = _wor_indices(np.random.default_rng(2024), trials, universe, 3)
+        codes = (idx[:, 0] * universe + idx[:, 1]) * universe + idx[:, 2]
+        counts = np.bincount(codes, minlength=universe**3)
+        cells = [
+            (a * universe + b) * universe + c
+            for a, b, c in itertools.permutations(range(universe), 3)
+        ]
+        observed = counts[cells]
+        assert observed.sum() == trials
+        expected = trials / len(cells)
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        df = len(cells) - 1
+        # Normal approximation to chi-square at this df; 4 sd is p < 1e-4.
+        assert (chi2 - df) / math.sqrt(2 * df) < 4.0
+
+    def test_memory_does_not_grow_with_universe(self):
+        inst = Instance(population=Population(tuple(range(50_000))))
+        cfg = DesignConfig("srs", n=5)
+        tracemalloc.start()
+        try:
+            simulate_blocks(inst, cfg, 2000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestRelativeEfficiency:
     def test_srs_worked_example(self):
@@ -290,6 +343,11 @@ class TestRelativeEfficiency:
         assert rep.method == "monte_carlo"
         assert rep.verdict
 
+    def test_monte_carlo_fallback_too_few_trials(self):
+        inst = Instance(population=Population(tuple(range(40))))
+        with pytest.raises(ValueError, match="trials=50"):
+            relative_efficiency(inst, DesignConfig("srs", n=6), trials=50, seed=12)
+
     def test_too_large_without_seed(self):
         inst = Instance(population=Population(tuple(range(40))))
         with pytest.raises(EnumerationLimitError):
@@ -306,3 +364,20 @@ class TestTolerances:
         assert tol.close(1e6 + 1e-4, 1e6)
         assert not tol.close(1e6 + 1e-2, 1e6)
         assert tol.close(1e-12, 0.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SizeWeights((1.5, 2.7)),
+        lambda: ClassifiedPopulation((2.5, 1)),
+        lambda: DesignConfig("srs", n=2.9),
+        lambda: DesignConfig("acs", n1=2.0),
+        lambda: DesignConfig("srs", group_sizes=(2, 2.5)),
+        lambda: DesignConfig.from_mapping({"design": "srs", "n": "2"}),
+        lambda: random_group_split(DrawSequence((0, 1, 2, 3), False, "srs"), (2.0, 2)),
+    ],
+)
+def test_integer_fields_reject_non_integers(build):
+    with pytest.raises(ValueError, match="integer"):
+        build()
