@@ -63,7 +63,7 @@ def _format_table(record: dict, indent: int = 0) -> str:
     lines = []
     pad = " " * indent
     for key, value in record.items():
-        if isinstance(value, dict):
+        if isinstance(value, dict) and value:
             lines.append(f"{pad}{key}:")
             lines.append(_format_table(value, indent + 2))
         elif isinstance(value, float):

@@ -37,12 +37,16 @@ class Population:
 
     def __post_init__(self) -> None:
         try:
-            vals = tuple(float(v) for v in self.values)
+            raw = tuple(self.values)
+            vals = tuple(map(float, raw))
         except TypeError:
             raise ValueError("population values must be numbers") from None
+        # float() would parse "1" and turn True into 1.0; neither is a value.
+        if any(issubclass(t, (str, bytes, bool)) for t in set(map(type, raw))):
+            raise ValueError("population values must be numbers, not strings or bools")
         if len(vals) < 1:
             raise ValueError("population must contain at least one unit")
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError("population values must be finite")
         object.__setattr__(self, "values", vals)
 

@@ -5,11 +5,12 @@ comparing both against the theoretical values."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .distributions import fpc
 
 ENUMERATION_LIMIT = 10_000_000
 NUM_BLOCKS = 100
+ORACLE_CHUNK = 1 << 15
 
 DESIGN_NAMES = ("srs", "srs_wr", "pps_wr", "pps_wor", "acs", "acs_wr")
 
@@ -226,27 +228,27 @@ def estimator_spec(inst: Instance, config: DesignConfig) -> EstimatorSpec:
     raise ValueError(f"unsupported design {design!r}")
 
 
-def _rg_estimate(values: Sequence[float], sizes: Sequence[int]) -> float:
-    means = []
-    start = 0
-    for s in sizes:
-        means.append(math.fsum(values[start : start + s]) / s)
-        start += s
-    terms = []
-    for k in range(len(sizes)):
-        for l in range(k + 1, len(sizes)):
-            terms.append((means[k] - means[l]) ** 2 / (1.0 / sizes[k] + 1.0 / sizes[l]))
-    return math.fsum(terms) / len(terms)
+def _estimates(spec: EstimatorSpec, drawn: np.ndarray) -> np.ndarray:
+    """The estimator's value on each row of drawn values (one sample per row,
+    in draw order); shared by the oracle and the Monte Carlo harness."""
+    if spec.group_sizes is None:
+        return drawn.mean(axis=1)
+    sizes = np.asarray(spec.group_sizes)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    group_means = np.add.reduceat(drawn, starts, axis=1) / sizes
+    k = len(sizes)
+    acc = np.zeros(len(drawn))
+    pairs = 0
+    for a in range(k):
+        for b in range(a + 1, k):
+            acc += (group_means[:, a] - group_means[:, b]) ** 2 / (
+                1.0 / sizes[a] + 1.0 / sizes[b]
+            )
+            pairs += 1
+    return acc / pairs
 
 
-def _outcome_value(spec: EstimatorSpec, outcome: tuple[int, ...]) -> float:
-    drawn = [spec.values[i] for i in outcome]
-    if spec.group_sizes is not None:
-        return _rg_estimate(drawn, spec.group_sizes)
-    return math.fsum(drawn) / spec.n
-
-
-def _check_enumeration_size(spec: EstimatorSpec) -> int:
+def _check_enumeration_size(spec: EstimatorSpec) -> None:
     if spec.replacement:
         count = spec.universe ** spec.n
     else:
@@ -255,36 +257,64 @@ def _check_enumeration_size(spec: EstimatorSpec) -> int:
         raise EnumerationLimitError(
             f"{count} ordered outcomes exceed the enumeration limit {ENUMERATION_LIMIT}"
         )
-    return count
 
 
-def _outcomes(spec: EstimatorSpec) -> Iterable[tuple[int, ...]]:
+def _disjoint_subsets(pool: tuple[int, ...], sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every ordered tuple of disjoint subsets of pool with the given sizes,
+    concatenated; each subset is in increasing order."""
+    if len(sizes) == 1:
+        yield from itertools.combinations(pool, sizes[0])
+        return
+    for head in itertools.combinations(pool, sizes[0]):
+        rest = tuple(i for i in pool if i not in head)
+        for tail in _disjoint_subsets(rest, sizes[1:]):
+            yield head + tail
+
+
+def _outcome_chunks(spec: EstimatorSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(estimates, weights) over the design's unordered outcomes, in chunks of
+    ORACLE_CHUNK outcomes; an outcome's weight is proportional to its
+    probability.
+
+    Every ordering of a sample is equally likely, so one unordered outcome
+    stands for all of its orderings.  Without replacement that is a subset
+    (n! orderings; with random groups, a tuple of per-group subsets with
+    prod s_k! orderings), and all weigh the same.  With replacement it is a
+    multiset with n! / prod m_j! orderings, each weighing prod Z_i.
+    """
+    values = np.asarray(spec.values, dtype=float)
+    n = spec.n
     if spec.replacement:
-        return itertools.product(range(spec.universe), repeat=spec.n)
-    return itertools.permutations(range(spec.universe), spec.n)
+        sizes = np.asarray(spec.weight_sizes or (1,) * spec.universe, dtype=float)
+        outcomes = itertools.combinations_with_replacement(range(spec.universe), n)
+    else:
+        outcomes = _disjoint_subsets(tuple(range(spec.universe)), spec.group_sizes or (n,))
+    while True:
+        chunk = itertools.islice(outcomes, ORACLE_CHUNK)
+        idx = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.intp).reshape(-1, n)
+        if not len(idx):
+            return
+        weights = np.ones(len(idx))
+        if spec.replacement:
+            # Rows are sorted, so runs[:, j] numbers the copies of idx[:, j]
+            # seen so far and each row's product of runs is prod m_j!.
+            runs = np.ones(idx.shape)
+            for j in range(1, n):
+                runs[:, j] = np.where(idx[:, j] == idx[:, j - 1], runs[:, j - 1] + 1, 1)
+            weights = math.factorial(n) / runs.prod(axis=1) * sizes[idx].prod(axis=1)
+        yield _estimates(spec, values[idx]), weights
 
 
 def enumerate_moments(inst: Instance, config: DesignConfig) -> Moments:
     """Exact mean and variance of the estimator by summation over every
-    ordered outcome of the design (weight-exact for PPS with replacement)."""
+    outcome of the design, weighted by its exact probability."""
     spec = estimator_spec(inst, config)
-    count = _check_enumeration_size(spec)
-    if spec.weight_sizes is None:
-        mean = math.fsum(_outcome_value(spec, o) for o in _outcomes(spec)) / count
-        var = math.fsum((_outcome_value(spec, o) - mean) ** 2 for o in _outcomes(spec)) / count
-        return Moments(mean, var)
-    total = sum(spec.weight_sizes)
-    probs = [s / total for s in spec.weight_sizes]
-
-    def weight(outcome: tuple[int, ...]) -> float:
-        w = 1.0
-        for i in outcome:
-            w *= probs[i]
-        return w
-
-    mean = math.fsum(weight(o) * _outcome_value(spec, o) for o in _outcomes(spec))
-    var = math.fsum(weight(o) * (_outcome_value(spec, o) - mean) ** 2 for o in _outcomes(spec))
-    return Moments(mean, var)
+    _check_enumeration_size(spec)
+    sums = [(float(w.sum()), float((w * v).sum())) for v, w in _outcome_chunks(spec)]
+    total = math.fsum(s for s, _ in sums)
+    mean = math.fsum(m for _, m in sums) / total
+    var = math.fsum(float((w * (v - mean) ** 2).sum()) for v, w in _outcome_chunks(spec))
+    return Moments(mean, var / total)
 
 
 def theoretical_moments(inst: Instance, config: DesignConfig) -> Moments:
@@ -385,22 +415,7 @@ def _block_values(
         idx = rng.integers(0, spec.universe, size=(size, spec.n))
     else:
         idx = _wor_indices(rng, size, spec.universe, spec.n)
-    drawn = values[idx]
-    if spec.group_sizes is None:
-        return drawn.mean(axis=1)
-    sizes = np.asarray(spec.group_sizes)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    group_means = np.add.reduceat(drawn, starts, axis=1) / sizes
-    k = len(sizes)
-    acc = np.zeros(size)
-    pairs = 0
-    for a in range(k):
-        for b in range(a + 1, k):
-            acc += (group_means[:, a] - group_means[:, b]) ** 2 / (
-                1.0 / sizes[a] + 1.0 / sizes[b]
-            )
-            pairs += 1
-    return acc / pairs
+    return _estimates(spec, values[idx])
 
 
 def _merge_moments(
@@ -457,21 +472,11 @@ class MomentReport:
     normalizations: Optional[dict]
     tolerances: dict
     checks: dict
+    skipped: dict  # check name -> why it is None
     verdict: bool
 
     def to_dict(self) -> dict:
-        return {
-            "estimator_tag": self.estimator_tag,
-            "estimand": self.estimand,
-            "design": self.design,
-            "theoretical": self.theoretical,
-            "enumerated": self.enumerated,
-            "empirical": self.empirical,
-            "normalizations": self.normalizations,
-            "tolerances": self.tolerances,
-            "checks": self.checks,
-            "verdict": self.verdict,
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -506,29 +511,30 @@ def run_monte_carlo(
         se_var = None
 
     try:
-        enum = enumerate_moments(inst, config)
-    except EnumerationLimitError:
-        enum = None
+        enum, refused = enumerate_moments(inst, config), None
+    except EnumerationLimitError as exc:
+        enum, refused = None, str(exc)
 
     theo = spec.theoretical
     k = tolerances.se_multiplier
-    checks: dict[str, Optional[bool]] = {}
-    checks["empirical_mean_within_band"] = (
-        abs(mean - theo.mean) <= k * se_mean if se_mean is not None else None
-    )
-    checks["empirical_variance_within_band"] = (
-        abs(variance - theo.variance) <= k * se_var
-        if (se_var is not None and theo.variance is not None)
-        else None
-    )
-    checks["enumerated_mean_matches"] = (
-        tolerances.close(enum.mean, theo.mean) if enum is not None else None
-    )
-    checks["enumerated_variance_matches"] = (
-        tolerances.close(enum.variance, theo.variance)
-        if (enum is not None and theo.variance is not None)
-        else None
-    )
+    no_variance = None if theo.variance is not None else "the estimator has no closed-form variance"
+    reasons = {
+        "empirical_mean_within_band":
+            None if se_mean is not None else "a standard error needs two or more trials",
+        "empirical_variance_within_band": no_variance or (
+            None if se_var is not None else "fewer than two blocks hold two or more trials "
+            f"(trials < {NUM_BLOCKS + 2})"
+        ),
+        "enumerated_mean_matches": refused,
+        "enumerated_variance_matches": refused or no_variance,
+    }
+    tests = {
+        "empirical_mean_within_band": lambda: abs(mean - theo.mean) <= k * se_mean,
+        "empirical_variance_within_band": lambda: abs(variance - theo.variance) <= k * se_var,
+        "enumerated_mean_matches": lambda: tolerances.close(enum.mean, theo.mean),
+        "enumerated_variance_matches": lambda: tolerances.close(enum.variance, theo.variance),
+    }
+    checks = {name: None if reasons[name] else test() for name, test in tests.items()}
     evaluated = [v for v in checks.values() if v is not None]
     verdict = bool(evaluated) and all(evaluated)
 
@@ -556,6 +562,7 @@ def run_monte_carlo(
         normalizations=normalizations,
         tolerances=tolerances.to_dict(),
         checks=checks,
+        skipped={name: why for name, why in reasons.items() if why},
         verdict=bool(verdict),
     )
 
@@ -592,19 +599,7 @@ class RelativeEfficiencyReport:
     verdict: bool
 
     def to_dict(self) -> dict:
-        return {
-            "design_pair": list(self.design_pair),
-            "estimator_tag": self.estimator_tag,
-            "method": self.method,
-            "wor_variance": self.wor_variance,
-            "wr_variance": self.wr_variance,
-            "ratio": self.ratio,
-            "predicted_fpc": self.predicted_fpc,
-            "effective_population_size": self.effective_population_size,
-            "sample_size": self.sample_size,
-            "tolerances": self.tolerances,
-            "verdict": self.verdict,
-        }
+        return {**dataclasses.asdict(self), "design_pair": list(self.design_pair)}
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -661,7 +656,7 @@ def relative_efficiency(
         verdict = var_wor <= DEGENERATE_VARIANCE
     else:
         ratio = var_wor / var_wr
-        if method == "enumeration":
+        if method == "enumeration" or var_wor <= DEGENERATE_VARIANCE:
             verdict = tolerances.close(ratio, predicted)
         else:
             se_ratio = abs(ratio) * math.sqrt(

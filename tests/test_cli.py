@@ -133,6 +133,23 @@ class TestCompareCommand:
         assert code == 1
 
 
+    def test_monte_carlo_census_ratio_zero(self, tmp_path, capsys):
+        # n = N: every WOR sample mean is the population mean, so the WOR
+        # variance is exactly 0 and the ratio is judged without dividing by it.
+        pop = write(tmp_path, "pop.json", {"values": list(range(40))})
+        code = main(
+            ["compare", "--population", pop, "--design", '{"design": "srs", "n": 40}',
+             "--trials", "1000", "--seed", "1"]
+        )
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in err
+        report = json.loads(out)
+        assert report["method"] == "monte_carlo"
+        assert report["ratio"] == 0.0
+        assert report["verdict"] is True
+
+
 class TestEnumerateCommand:
     def test_count_distribution(self, tmp_path, capsys):
         pop = write(tmp_path, "pop.json", POP_COUNTS)
@@ -185,6 +202,7 @@ class TestEnumerateCommand:
          '{"design": "acs", "n1": 1}', ["--seed", "1"]),
         ("compare", {"values": list(range(40))}, '{"design": "srs", "n": 6}',
          ["--trials", "50", "--seed", "1"]),
+        ("enumerate", {"values": ["1", "2", "3"]}, '{"design": "srs", "n": 2}', []),
     ],
 )
 def test_bad_input_exits_1_without_traceback(tmp_path, capsys, command, population, design, extra):

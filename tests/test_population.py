@@ -34,6 +34,11 @@ class TestPopulation:
         with pytest.raises(ValueError):
             Population((float("inf"),))
 
+    @pytest.mark.parametrize("bad", ["1", b"1", True])
+    def test_rejects_strings_and_bools(self, bad):
+        with pytest.raises(ValueError, match="numbers"):
+            Population((1.0, bad, 3.0))
+
     def test_s_squared_needs_two_units(self):
         with pytest.raises(ValueError):
             _ = Population((5,)).s_squared

@@ -26,7 +26,8 @@ from finpop import (
     run_monte_carlo,
     theoretical_moments,
 )
-from finpop.verify import _merge_moments, _wor_indices, simulate_blocks
+from finpop import verify
+from finpop.verify import Moments, _merge_moments, _wor_indices, estimator_spec, simulate_blocks
 
 POP5_INST = Instance(population=Population((1, 2, 3, 4, 5)))
 PPS_INST = Instance(population=Population((2, 2, 3)), weights=SizeWeights((1, 2, 3)))
@@ -119,6 +120,87 @@ class TestEnumerateMoments:
             enumerate_moments(POP5_INST, DesignConfig("pps_wr", n=2))
         with pytest.raises(ValueError):
             enumerate_moments(POP5_INST, DesignConfig("acs", n1=2))
+
+
+def _reference_value(spec, outcome):
+    drawn = [spec.values[i] for i in outcome]
+    sizes = spec.group_sizes
+    if sizes is None:
+        return math.fsum(drawn) / spec.n
+    means, start = [], 0
+    for s in sizes:
+        means.append(math.fsum(drawn[start : start + s]) / s)
+        start += s
+    terms = [
+        (means[a] - means[b]) ** 2 / (1.0 / sizes[a] + 1.0 / sizes[b])
+        for a, b in itertools.combinations(range(len(sizes)), 2)
+    ]
+    return math.fsum(terms) / len(terms)
+
+
+def ordered_reference(inst, config):
+    """Moments by walking every ordered outcome one at a time, each with its
+    exact probability: the direct definition the oracle's reduction to
+    unordered outcomes has to reproduce."""
+    spec = estimator_spec(inst, config)
+    if spec.replacement:
+        outcomes = list(itertools.product(range(spec.universe), repeat=spec.n))
+        sizes = spec.weight_sizes or (1,) * spec.universe
+        denom = sum(sizes) ** spec.n
+        probs = [math.prod(sizes[i] for i in o) / denom for o in outcomes]
+    else:
+        outcomes = list(itertools.permutations(range(spec.universe), spec.n))
+        probs = [1.0 / len(outcomes)] * len(outcomes)
+    values = [_reference_value(spec, o) for o in outcomes]
+    mean = math.fsum(p * v for p, v in zip(probs, values))
+    return Moments(mean, math.fsum(p * (v - mean) ** 2 for p, v in zip(probs, values)))
+
+
+SKEWED = Population((1.5, -2.0, 7.25, 3.0, 0.5, 11.0))
+SKEWED_PPS = Instance(population=SKEWED, weights=SizeWeights((2, 1, 3, 1, 2, 4)))
+TIED_PPS = Instance(
+    population=Population((4.0, 1.0, 6.5, 2.0, 9.0)), weights=SizeWeights((2, 2, 1, 3, 3))
+)
+SKEWED_ACS = Instance(
+    population=SKEWED, partition=NetworkPartition.from_assignment(SKEWED, [0, 0, 1, 2, 2, 3])
+)
+SKEWED_INST = Instance(population=SKEWED)
+SEVEN = Instance(population=Population((2.0, 9.5, -1.0, 4.0, 4.0, 13.0, 0.25)))
+
+ORACLE_CASES = [
+    (SKEWED_INST, DesignConfig("srs", n=3)),
+    (SKEWED_INST, DesignConfig("srs_wr", n=4)),
+    (SKEWED_PPS, DesignConfig("pps_wr", n=3)),
+    (SKEWED_PPS, DesignConfig("pps_wor", n=3)),
+    (SKEWED_ACS, DesignConfig("acs", n1=3)),
+    (SKEWED_ACS, DesignConfig("acs_wr", n1=3)),
+    (SEVEN, DesignConfig("srs", group_sizes=(1, 2, 3))),
+    (SKEWED_INST, DesignConfig("srs", group_sizes=(3, 1))),
+    (TIED_PPS, DesignConfig("pps_wr", n=4)),
+    (TIED_PPS, DesignConfig("pps_wor", n=3)),
+    (SKEWED_INST, DesignConfig("srs", n=6)),
+    (PPS_INST, DesignConfig("pps_wor", n=6)),
+    (SKEWED_ACS, DesignConfig("acs", n1=6)),
+]
+
+
+class TestOracleMatchesOrderedWalk:
+    @pytest.mark.parametrize("chunk", [7, verify.ORACLE_CHUNK])
+    @pytest.mark.parametrize("inst, cfg", ORACLE_CASES)
+    def test_matches_reference(self, monkeypatch, chunk, inst, cfg):
+        # A chunk of 7 outcomes makes every case span several chunks.
+        monkeypatch.setattr(verify, "ORACLE_CHUNK", chunk)
+        got, ref = enumerate_moments(inst, cfg), ordered_reference(inst, cfg)
+        assert Tolerances().close(got.mean, ref.mean)
+        assert Tolerances().close(got.variance, ref.variance)
+
+    def test_gate_still_counts_ordered_outcomes(self):
+        # perm(40, 6) = 2.76e9 ordered outcomes but only C(40, 6) = 3.8e6 subsets.
+        inst = Instance(population=Population(tuple(range(40))))
+        with pytest.raises(EnumerationLimitError):
+            enumerate_moments(inst, DesignConfig("srs", n=6))
+        rep = relative_efficiency(inst, DesignConfig("srs", n=6), trials=2000, seed=3)
+        assert rep.method == "monte_carlo"
 
 
 class TestCountDistribution:
@@ -254,6 +336,42 @@ class TestMonteCarlo:
         rep = run_monte_carlo(inst, DesignConfig("srs", n=10), 1, 1)
         assert all(v is None for v in rep.checks.values())
         assert rep.verdict is False
+
+
+class TestSkippedReasons:
+    def _report(self, inst, cfg, trials):
+        rep = run_monte_carlo(inst, cfg, trials, 7)
+        assert set(rep.skipped) == {k for k, v in rep.checks.items() if v is None}
+        return rep
+
+    def test_too_few_trials_for_variance_band(self):
+        inst = Instance(population=Population(tuple(range(5000))))
+        rep = self._report(inst, DesignConfig("srs", n=10), 101)
+        assert "fewer than two blocks" in rep.skipped["empirical_variance_within_band"]
+        assert rep.checks["empirical_mean_within_band"] is True
+
+    def test_single_trial_has_no_mean_band(self):
+        inst = Instance(population=Population(tuple(range(5000))))
+        rep = self._report(inst, DesignConfig("srs", n=10), 1)
+        assert "two or more trials" in rep.skipped["empirical_mean_within_band"]
+
+    def test_enumeration_refused(self):
+        inst = Instance(population=Population(tuple(range(5000))))
+        rep = self._report(inst, DesignConfig("srs", n=10), 1000)
+        for name in ("enumerated_mean_matches", "enumerated_variance_matches"):
+            assert "ordered outcomes exceed the enumeration limit" in rep.skipped[name]
+        assert "empirical_variance_within_band" not in rep.skipped
+
+    def test_no_closed_form_variance(self):
+        inst = Instance(population=Population((1, 2, 3, 4)))
+        rep = self._report(inst, DesignConfig("srs", group_sizes=(2, 2)), 1000)
+        for name in ("empirical_variance_within_band", "enumerated_variance_matches"):
+            assert rep.skipped[name] == "the estimator has no closed-form variance"
+        assert rep.checks["enumerated_mean_matches"] is True
+
+    def test_nothing_skipped(self):
+        rep = self._report(POP5_INST, DesignConfig("srs", n=2), 1000)
+        assert rep.skipped == {}
 
 
 class TestWorIndices:
