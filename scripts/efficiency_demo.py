@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Enumerate the WOR/WR variance ratio for the three worked designs and show
 that each one equals the finite population correction at the appropriate
-effective population size."""
+effective population size.  Exits 1 if any row fails."""
+
+import sys
 
 from finpop import (
     DesignConfig,
@@ -29,6 +31,7 @@ def main():
     header = f"{'design':<44} {'var WOR':>9} {'var WR':>9} {'ratio':>8} {'fpc':>8}"
     print(header)
     print("-" * len(header))
+    failed = False
     for label, inst, cfg in cases:
         rep = relative_efficiency(inst, cfg)
         print(
@@ -36,7 +39,9 @@ def main():
             f" {rep.ratio:>8.4f} {rep.predicted_fpc:>8.4f}"
             f"  {'PASS' if rep.verdict else 'FAIL'}"
         )
+        failed = failed or not rep.verdict
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

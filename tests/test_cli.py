@@ -82,6 +82,19 @@ class TestVerifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["theoretical"]["variance"] == pytest.approx(2.0, abs=1e-10)
 
+    def test_skipped_variance_band_exits_2(self, tmp_path, capsys):
+        # 101 trials leave at most one block with two or more trials, so the
+        # variance band cannot be evaluated and the verdict fails.
+        pop = write(tmp_path, "pop.json", {"values": list(range(5000))})
+        code = main(
+            ["verify", "--population", pop, "--design", '{"design": "srs", "n": 10}',
+             "--trials", "101", "--seed", "7"]
+        )
+        assert code == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"]["empirical_variance_within_band"] is None
+        assert report["verdict"] is False
+
     def test_table_format(self, tmp_path, capsys):
         pop = write(tmp_path, "pop.json", POP5)
         code = main(

@@ -27,7 +27,15 @@ from finpop import (
     theoretical_moments,
 )
 from finpop import verify
-from finpop.verify import Moments, _merge_moments, _wor_indices, estimator_spec, simulate_blocks
+from finpop.verify import (
+    Moments,
+    _alias_indices,
+    _alias_table,
+    _merge_moments,
+    _wor_indices,
+    estimator_spec,
+    simulate_blocks,
+)
 
 POP5_INST = Instance(population=Population((1, 2, 3, 4, 5)))
 PPS_INST = Instance(population=Population((2, 2, 3)), weights=SizeWeights((1, 2, 3)))
@@ -411,6 +419,165 @@ class TestWorIndices:
         tracemalloc.start()
         try:
             simulate_blocks(inst, cfg, 2000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestVerdictNeedsBands:
+    # A Monte Carlo band whose theoretical value exists and that was skipped
+    # for lack of trials fails the verdict, even if every other check passes.
+    def test_variance_band_skipped_below_102_trials(self):
+        inst = Instance(population=Population(tuple(range(5000))))
+        rep = run_monte_carlo(inst, DesignConfig("srs", n=10), 101, 7)
+        assert rep.checks["empirical_mean_within_band"] is True
+        assert rep.checks["empirical_variance_within_band"] is None
+        assert rep.verdict is False
+
+    def test_oracle_checks_alone_do_not_pass(self):
+        rep = run_monte_carlo(POP5_INST, DesignConfig("srs", n=2), 1, 7)
+        assert rep.checks["enumerated_mean_matches"] is True
+        assert rep.checks["enumerated_variance_matches"] is True
+        assert rep.checks["empirical_mean_within_band"] is None
+        assert rep.verdict is False
+
+    def test_random_groups_need_no_variance_band(self):
+        inst = Instance(population=Population(tuple(range(5000))))
+        rep = run_monte_carlo(inst, DesignConfig("srs", group_sizes=(2, 2)), 101, 7)
+        assert rep.checks["empirical_variance_within_band"] is None
+        assert rep.verdict is True
+
+
+class TestRngStream:
+    def test_monte_carlo_report(self):
+        rep = run_monte_carlo(PPS_INST, DesignConfig("pps_wr", n=2), 1000, 5)
+        assert verify.RNG_STREAM == 3
+        assert json.loads(rep.to_json())["rng_stream"] == verify.RNG_STREAM
+
+    def test_relative_efficiency_reports(self):
+        forty = Instance(population=Population(tuple(range(40))))
+        for rep in (
+            relative_efficiency(POP5_INST, DesignConfig("srs", n=2)),
+            relative_efficiency(forty, DesignConfig("srs", n=6), trials=2000, seed=3),
+        ):
+            assert json.loads(rep.to_json())["rng_stream"] == verify.RNG_STREAM
+
+
+def old_wor_indices(rng, size, universe, n):
+    """The WOR sampler as it was before the draw-major Floyd buffer."""
+    if universe <= 4 * n:
+        return np.argsort(rng.random((size, universe)), axis=1)[:, :n]
+    idx = np.empty((size, n), dtype=np.int64)
+    for j in range(n):
+        top = universe - n + j
+        t = rng.integers(0, top + 1, size=size)
+        taken = (idx[:, :j] == t[:, None]).any(axis=1)
+        idx[:, j] = np.where(taken, top, t)
+    return rng.permuted(idx, axis=1)
+
+
+def old_blocks(inst, cfg, trials, seed):
+    """simulate_blocks as it was before the block kernel rewrite, for every
+    design but pps_wr: row means by mean(axis=1), group means by reduceat."""
+    spec = estimator_spec(inst, cfg)
+    values = np.asarray(spec.values, dtype=float)
+    out = []
+    for b, size in enumerate(verify._block_sizes(trials)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+        if spec.replacement:
+            idx = rng.integers(0, spec.universe, size=(size, spec.n))
+        else:
+            idx = old_wor_indices(rng, size, spec.universe, spec.n)
+        drawn = values[idx]
+        if spec.group_sizes is None:
+            v = drawn.mean(axis=1)
+        else:
+            sizes = np.asarray(spec.group_sizes)
+            starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+            means = np.add.reduceat(drawn, starts, axis=1) / sizes
+            pairs = list(itertools.combinations(range(len(sizes)), 2))
+            v = sum(
+                (means[:, a] - means[:, b]) ** 2 / (1.0 / sizes[a] + 1.0 / sizes[b])
+                for a, b in pairs
+            ) / len(pairs)
+        m = float(v.mean())
+        out.append((size, m, float(((v - m) ** 2).sum())))
+    return out
+
+
+FORTY = Instance(population=Population(tuple(10.0 + 3.0 * math.sin(i) for i in range(40))))
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("universe, n", [(13, 3), (40, 6), (5000, 10)])
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    def test_floyd_draws_unchanged(self, universe, n, seed):
+        for size in (1, 20, 5000):
+            new = _wor_indices(np.random.default_rng(seed), size, universe, n)
+            old = old_wor_indices(np.random.default_rng(seed), size, universe, n)
+            np.testing.assert_array_equal(new, old)
+
+    @pytest.mark.parametrize(
+        "inst, cfg",
+        [
+            (SEVEN, DesignConfig("srs", n=3)),  # key sort: N <= 4n
+            (FORTY, DesignConfig("srs", n=6)),  # Floyd: N > 4n
+            (SKEWED_INST, DesignConfig("srs_wr", n=4)),
+            (SKEWED_ACS, DesignConfig("acs", n1=2)),
+            (SKEWED_ACS, DesignConfig("acs_wr", n1=3)),
+            (SKEWED_PPS, DesignConfig("pps_wor", n=3)),
+            (SEVEN, DesignConfig("srs", group_sizes=(2, 2, 2))),
+            (FORTY, DesignConfig("srs", group_sizes=(2, 2, 2))),
+            (SEVEN, DesignConfig("srs", group_sizes=(1, 2, 3))),
+            (FORTY, DesignConfig("srs", group_sizes=(1, 2, 3))),
+        ],
+    )
+    def test_blocks_match_old_kernel(self, inst, cfg):
+        new = simulate_blocks(inst, cfg, 20_150, 31)
+        old = old_blocks(inst, cfg, 20_150, 31)
+        assert [b[0] for b in new] == [b[0] for b in old]
+        for (_, m_new, m2_new), (_, m_old, m2_old) in zip(new, old):
+            assert math.isclose(m_new, m_old, rel_tol=1e-12)
+            assert math.isclose(m2_new, m2_old, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(1,), (1, 1, 1), (1, 2, 3), (5, 1, 1, 1), (3, 3, 1, 1, 2, 2), (2, 2, 2, 2),
+         (10**12, 1, 3)],
+    )
+    def test_alias_mass_is_exact(self, sizes):
+        total, keep, alias = _alias_table(sizes)
+        count = len(sizes)
+        assert total == sum(sizes)
+        assert ((0 <= keep) & (keep <= total)).all()
+        assert ((0 <= alias) & (alias < count)).all()
+        mass = [int(k) for k in keep]
+        for column in range(count):
+            mass[int(alias[column])] += total - int(keep[column])
+        assert mass == [z * count for z in sizes]
+
+    def test_alias_refuses_int64_overflow(self):
+        with pytest.raises(ValueError, match="int64"):
+            _alias_table((2**62, 2**62))
+        inst = Instance(population=Population((1.0, 2.0)), weights=SizeWeights((2**62, 2**62)))
+        with pytest.raises(ValueError, match="int64"):
+            simulate_blocks(inst, DesignConfig("pps_wr", n=2), 1000, 1)
+
+    def test_alias_draws_chi_square(self):
+        sizes = (1, 1, 2, 2, 3, 3, 4, 4)
+        idx = _alias_indices(np.random.default_rng(77), _alias_table(sizes), (50_000, 3))
+        observed = np.bincount(idx.ravel(), minlength=len(sizes))
+        expected = idx.size * np.asarray(sizes) / sum(sizes)
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        # Upper 1e-4 point of chi-square with 7 degrees of freedom.
+        assert chi2 < 29.88
+
+    def test_pps_wr_memory_does_not_grow_with_total_size(self):
+        inst = Instance(population=Population((1.0, 2.0, 3.0)), weights=SizeWeights((10**12, 1, 3)))
+        tracemalloc.start()
+        try:
+            simulate_blocks(inst, DesignConfig("pps_wr", n=3), 2000, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
