@@ -32,12 +32,11 @@ from .designs import (
     srs,
 )
 from .estimators import (
-    EstimateReport,
     acs_mean,
     acs_variance,
+    estimates,
     hansen_hurvitz,
     hh_variance,
-    random_group_variance_equal_sizes,
     random_group_variance_estimate,
     rg_pair_expectation,
     sample_mean,

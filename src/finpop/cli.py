@@ -12,6 +12,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .distributions import multinomial_pmf, mvhyper_pmf
 from .population import as_index
 from .verify import (
@@ -173,9 +175,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     handlers = {"verify": cmd_verify, "compare": cmd_compare, "enumerate": cmd_enumerate}
     try:
-        return handlers[args.command](args)
+        # Values too large for double precision are refused, not reported as
+        # infinite or NaN moments: numpy raises FloatingPointError on overflow.
+        with np.errstate(over="raise", invalid="raise"):
+            return handlers[args.command](args)
     except (CliError, EnumerationLimitError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"error: numbers out of range: {exc}", file=sys.stderr)
         return 1
 
 

@@ -78,8 +78,9 @@ def srs(N: int, n: int, replacement: bool, rng: np.random.Generator) -> DrawSequ
     """Simple random sampling: n sequential single-unit draws.
 
     Without replacement each draw is uniform among the remaining units
-    (partial Fisher-Yates over a pool array), so every ordered n-tuple of
-    distinct units is equally likely.
+    (partial Fisher-Yates), so every ordered n-tuple of distinct units is
+    equally likely.  The pool is kept sparse, as the positions that have
+    moved, so a draw costs O(n) time and memory whatever N is.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -90,13 +91,12 @@ def srs(N: int, n: int, replacement: bool, rng: np.random.Generator) -> DrawSequ
         return DrawSequence(indices, True, "srs_wr")
     if n > N:
         raise ValueError(f"cannot draw {n} without replacement from {N} units")
-    pool = list(range(N))
+    moved: dict[int, int] = {}  # pool position -> unit, where it is not the identity
     out = []
-    for _ in range(n):
-        j = int(rng.integers(len(pool)))
-        out.append(pool[j])
-        pool[j] = pool[-1]
-        pool.pop()
+    for k in range(N - 1, N - 1 - n, -1):
+        j = int(rng.integers(k + 1))
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(k, k)
     return DrawSequence(tuple(out), False, "srs")
 
 
@@ -136,13 +136,9 @@ def acs(
     if partition.num_units != pop.size:
         raise ValueError("partition size does not match population size")
     initial = srs(pop.size, n_1, replacement, rng)
-    members: dict[int, list[int]] = {}
-    for i, a in enumerate(partition.assignment):
-        members.setdefault(a, []).append(i)
-    final: set[int] = set()
-    for i in initial.indices:
-        final.update(members[partition.assignment[i]])
-    return AcsSample(initial, frozenset(final))
+    nets = {partition.assignment[i] for i in initial.indices}
+    final = frozenset(i for i, a in enumerate(partition.assignment) if a in nets)
+    return AcsSample(initial, final)
 
 
 def random_group_split(seq: DrawSequence, sizes: Sequence[int]) -> GroupedSample:

@@ -1,83 +1,112 @@
 """Point estimators and their closed-form design variances, including the
-random-group estimator of the population variance."""
+random-group estimator of the population variance.
+
+Every estimator here is the paper's reduction to SRS: the mean of the drawn
+transformed values (Y_i for SRS, Y_i/Z_i for PPS, network means for ACS), or
+the random-group estimator over them.  `estimates` is the only code that
+turns drawn values into an estimate; the public per-sample calls pass it one
+row, and the enumeration oracle and the Monte Carlo harness pass it many.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from bisect import bisect_right
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .designs import AcsSample, DrawSequence, GroupedSample
 from .distributions import fpc
 from .population import NetworkPartition, Population, SizeWeights
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    """A point estimate together with its theoretical design variance."""
+def estimates(drawn: np.ndarray, group_sizes: Optional[Sequence[int]] = None) -> np.ndarray:
+    """The estimator's value on each row of drawn values (one sample per row,
+    in draw order): the row mean, or, with group_sizes, the random-group
+    estimator of S^2, the average over group pairs (k, l) of
+    (mean_k - mean_l)^2 / (1/n_k + 1/n_l) with contiguous groups."""
+    # Row sums as a matrix product: one BLAS pass instead of a reduction
+    # over a short last axis.  Dividing in place saves a block-sized temporary.
+    if group_sizes is None:
+        means = drawn @ np.ones(drawn.shape[1])
+        means /= drawn.shape[1]
+        return means
+    sizes = np.asarray(group_sizes)
+    members = np.repeat(np.eye(len(sizes)), sizes, axis=0)  # (n, k) 0/1 group membership
+    group_means = drawn @ members
+    group_means /= sizes
+    k = len(sizes)
+    acc = np.zeros(len(drawn))
+    for a in range(k):
+        for b in range(a + 1, k):
+            acc += (group_means[:, a] - group_means[:, b]) ** 2 / (
+                1.0 / sizes[a] + 1.0 / sizes[b]
+            )
+    return acc / (k * (k - 1) // 2)
 
-    point: float
-    theoretical_variance: Optional[float]
-    design_tag: str
-    estimand: str  # "mean" | "total" | "population_variance"
 
-    def __post_init__(self) -> None:
-        if self.theoretical_variance is not None and self.theoretical_variance < -0.0:
-            raise ValueError("theoretical variance must be nonnegative")
+def _estimate(drawn: list[float], group_sizes: Optional[Sequence[int]] = None) -> float:
+    """estimates() on a single sample, passed as one (1, n) row."""
+    return float(estimates(np.array([drawn], dtype=float), group_sizes)[0])
+
+
+def _in_range(indices: Sequence[int], size: int, what: str = "population") -> Sequence[int]:
+    for i in (min(indices), max(indices)):
+        if not 0 <= i < size:
+            raise ValueError(f"index {i} out of range for {what} of size {size}")
+    return indices
+
+
+def _design_variance(sigma2: float, n: int, universe: int, replacement: bool, name: str) -> float:
+    """Variance of the mean of n draws from a universe whose single-draw
+    variance is sigma2: sigma2 / n, times fpc(n, universe) without
+    replacement."""
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1")
+    if not replacement and n > universe:
+        raise ValueError(f"cannot draw {n} without replacement from {universe} units")
+    v = sigma2 / n
+    return v if replacement else v * fpc(n, universe)
 
 
 def sample_mean(pop: Population, seq: DrawSequence) -> float:
     """Arithmetic mean of the population values at the drawn indices."""
-    for i in seq.indices:
-        if i >= pop.size:
-            raise ValueError(f"index {i} out of range for population of size {pop.size}")
-    return math.fsum(pop.values[i] for i in seq.indices) / seq.n
+    return _estimate([pop.values[i] for i in _in_range(seq.indices, pop.size)])
 
 
 def srs_mean_variance(pop: Population, n: int, replacement: bool) -> float:
     """Design variance of the SRS sample mean: sigma^2/n, times fpc(n, N)
     when sampling without replacement."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not replacement and n > pop.size:
-        raise ValueError(f"cannot draw {n} without replacement from {pop.size} units")
-    v = pop.variance / n
-    return v if replacement else v * fpc(n, pop.size)
-
-
-def _ratios(pop: Population, w: SizeWeights) -> tuple[float, ...]:
-    if w.num_units != pop.size:
-        raise ValueError("size weights length does not match population size")
-    return tuple(y / z for y, z in zip(pop.values, w.probabilities))
+    return _design_variance(pop.variance, n, pop.size, replacement, "n")
 
 
 def hansen_hurvitz(pop: Population, w: SizeWeights, seq: DrawSequence) -> float:
     """Hansen-Hurvitz estimator of the population total: mean of Y_i/Z_i over
-    the draws.  Accepts both native PPS draws (unit indices) and
-    extended-population draws (positions, mapped back to units)."""
-    ratios = _ratios(pop, w)
-    if seq.design_tag == "pps_wor":
-        units = [w.unit_of_position(p) for p in seq.indices]
+    the draws.  A with-replacement draw holds unit indices; a
+    without-replacement draw holds extended-population positions, which are
+    mapped back to their units."""
+    if w.num_units != pop.size:
+        raise ValueError("size weights length does not match population size")
+    total = w.total
+    if seq.replacement:
+        units = _in_range(seq.indices, pop.size)
     else:
-        for i in seq.indices:
-            if i >= pop.size:
-                raise ValueError(f"index {i} out of range for population of size {pop.size}")
-        units = list(seq.indices)
-    return math.fsum(ratios[i] for i in units) / seq.n
+        cumulative = w.cumulative
+        positions = _in_range(seq.indices, total, "extended population")
+        units = [bisect_right(cumulative, p) for p in positions]
+    return _estimate([pop.values[i] / (w.sizes[i] / total) for i in units])
 
 
 def hh_variance(pop: Population, w: SizeWeights, n: int, replacement: bool) -> float:
     """Variance of the Hansen-Hurvitz total estimator:
     (1/n) sum_i Z_i (Y_i/Z_i - t_Y)^2, times fpc(n, t_M) for the
     extended-population WOR variant."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not replacement and n > w.total:
-        raise ValueError(f"cannot draw {n} without replacement from extended size {w.total}")
-    ratios = _ratios(pop, w)
+    if w.num_units != pop.size:
+        raise ValueError("size weights length does not match population size")
     t_y = pop.total
-    v = math.fsum(z * (r - t_y) ** 2 for z, r in zip(w.probabilities, ratios)) / n
-    return v if replacement else v * fpc(n, w.total)
+    sigma2 = math.fsum(z * (y / z - t_y) ** 2 for y, z in zip(pop.values, w.probabilities))
+    return _design_variance(sigma2, n, w.total, replacement, "n")
 
 
 def acs_mean(pop: Population, partition: NetworkPartition, s: AcsSample) -> float:
@@ -85,11 +114,8 @@ def acs_mean(pop: Population, partition: NetworkPartition, s: AcsSample) -> floa
     of the network mean of each initially selected unit."""
     if partition.num_units != pop.size:
         raise ValueError("partition size does not match population size")
-    for i in s.initial.indices:
-        if i >= pop.size:
-            raise ValueError(f"index {i} out of range for population of size {pop.size}")
-    means = partition.network_means
-    return math.fsum(means[partition.assignment[i]] for i in s.initial.indices) / s.initial.n
+    means, assignment = partition.network_means, partition.assignment
+    return _estimate([means[assignment[i]] for i in _in_range(s.initial.indices, pop.size)])
 
 
 def acs_variance(
@@ -100,10 +126,6 @@ def acs_variance(
     without-replacement initial sample."""
     if partition.num_units != pop.size:
         raise ValueError("partition size does not match population size")
-    if n_1 < 1:
-        raise ValueError("n_1 must be >= 1")
-    if not replacement and n_1 > pop.size:
-        raise ValueError(f"cannot draw {n_1} without replacement from {pop.size} units")
     mean = pop.mean
     flat_var = (
         math.fsum(
@@ -112,16 +134,7 @@ def acs_variance(
         )
         / pop.size
     )
-    v = flat_var / n_1
-    return v if replacement else v * fpc(n_1, pop.size)
-
-
-def _group_means(pop: Population, g: GroupedSample) -> list[float]:
-    for grp in g.groups:
-        for i in grp:
-            if i >= pop.size:
-                raise ValueError(f"index {i} out of range for population of size {pop.size}")
-    return [math.fsum(pop.values[i] for i in grp) / len(grp) for grp in g.groups]
+    return _design_variance(flat_var, n_1, pop.size, replacement, "n_1")
 
 
 def random_group_variance_estimate(pop: Population, g: GroupedSample) -> float:
@@ -130,28 +143,8 @@ def random_group_variance_estimate(pop: Population, g: GroupedSample) -> float:
     (mean_k - mean_l)^2 / (1/n_k + 1/n_l)."""
     if g.num_groups < 2:
         raise ValueError("need at least two groups")
-    means = _group_means(pop, g)
-    sizes = g.sizes
-    terms = []
-    for k in range(g.num_groups):
-        for l in range(k + 1, g.num_groups):
-            terms.append((means[k] - means[l]) ** 2 / (1.0 / sizes[k] + 1.0 / sizes[l]))
-    return math.fsum(terms) / len(terms)
-
-
-def random_group_variance_equal_sizes(pop: Population, g: GroupedSample) -> float:
-    """Equal-group-size shortcut: m times the sample variance (denominator
-    K-1) of the K group means.  Algebraically equal to the pairwise form."""
-    if g.num_groups < 2:
-        raise ValueError("need at least two groups")
-    sizes = set(g.sizes)
-    if len(sizes) != 1:
-        raise ValueError("shortcut requires equal group sizes")
-    m = g.sizes[0]
-    means = _group_means(pop, g)
-    k = len(means)
-    grand = math.fsum(means) / k
-    return m * math.fsum((x - grand) ** 2 for x in means) / (k - 1)
+    drawn = [pop.values[i] for grp in g.groups for i in _in_range(grp, pop.size)]
+    return _estimate(drawn, g.sizes)
 
 
 def rg_pair_expectation(pop: Population, n_k: int, n_l: int) -> float:

@@ -14,8 +14,10 @@ from typing import Iterable, Sequence
 
 def as_index(value: object, what: str) -> int:
     """value as an exact int (operator.index semantics: 2.9 and "2" are
-    rejected, never truncated or parsed)."""
+    rejected, never truncated or parsed; so is True, which is not a count)."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
@@ -24,7 +26,10 @@ def as_index(value: object, what: str) -> int:
 def as_indices(values: Iterable, what: str) -> tuple[int, ...]:
     """as_index over every item, at C speed."""
     try:
-        return tuple(map(operator.index, values))
+        raw = tuple(values)
+        if bool in set(map(type, raw)):
+            raise TypeError("got a bool")
+        return tuple(map(operator.index, raw))
     except TypeError as exc:
         raise ValueError(f"every {what} must be an integer: {exc}") from None
 
@@ -118,6 +123,8 @@ class SizeWeights:
             raise ValueError("at least one size weight is required")
         if any(s < 1 for s in sizes):
             raise ValueError("every size weight must be a positive integer")
+        if min(sizes) / sum(sizes) == 0.0:
+            raise ValueError("size weights too unequal: the smallest Z_i rounds to 0")
         object.__setattr__(self, "sizes", sizes)
 
     @property

@@ -136,7 +136,7 @@ class Instance:
             rows = _list_field(m, "adjacency")
             threshold = m["threshold"]
             _require(
-                isinstance(threshold, (int, float)),
+                isinstance(threshold, (int, float)) and not isinstance(threshold, bool),
                 f"threshold must be a number, got {threshold!r}",
             )
             partition = compute_networks(pop, Adjacency(rows), float(threshold))
@@ -205,6 +205,7 @@ def estimator_spec(inst: Instance, config: DesignConfig) -> EstimatorSpec:
         n = config.n
         if design == "pps_wr":
             ratios = tuple(y / z for y, z in zip(pop.values, w.probabilities))
+            _require(all(map(math.isfinite, ratios)), "every Y_i/Z_i must be finite")
             return EstimatorSpec(
                 "hh_total", "total", pop.size, n, True, ratios, w.sizes, None,
                 Moments(pop.total, estimators.hh_variance(pop, w, n, replacement=True)),
@@ -232,40 +233,17 @@ def estimator_spec(inst: Instance, config: DesignConfig) -> EstimatorSpec:
     raise ValueError(f"unsupported design {design!r}")
 
 
-def _estimates(spec: EstimatorSpec, drawn: np.ndarray) -> np.ndarray:
-    """The estimator's value on each row of drawn values (one sample per row,
-    in draw order); shared by the oracle and the Monte Carlo harness."""
-    # Row sums as a matrix product: one BLAS pass instead of a reduction
-    # over a short last axis.  Dividing in place saves a block-sized temporary.
-    if spec.group_sizes is None:
-        means = drawn @ np.ones(spec.n)
-        means /= spec.n
-        return means
-    sizes = np.asarray(spec.group_sizes)
-    members = np.repeat(np.eye(len(sizes)), sizes, axis=0)  # (n, k) 0/1 group membership
-    group_means = drawn @ members
-    group_means /= sizes
-    k = len(sizes)
-    acc = np.zeros(len(drawn))
-    pairs = 0
-    for a in range(k):
-        for b in range(a + 1, k):
-            acc += (group_means[:, a] - group_means[:, b]) ** 2 / (
-                1.0 / sizes[a] + 1.0 / sizes[b]
-            )
-            pairs += 1
-    return acc / pairs
-
-
 def _check_enumeration_size(spec: EstimatorSpec) -> None:
-    if spec.replacement:
-        count = spec.universe ** spec.n
-    else:
-        count = math.perm(spec.universe, spec.n)
-    if count > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"{count} ordered outcomes exceed the enumeration limit {ENUMERATION_LIMIT}"
-        )
+    # Multiply only until the count passes the limit: the full count of a
+    # large instance can run to thousands of digits.
+    count = 1
+    for k in range(spec.n):
+        count *= spec.universe if spec.replacement else spec.universe - k
+        if count > ENUMERATION_LIMIT:
+            raise EnumerationLimitError(
+                f"at least {count} ordered outcomes exceed the enumeration limit "
+                f"{ENUMERATION_LIMIT}"
+            )
 
 
 def _disjoint_subsets(pool: tuple[int, ...], sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -294,7 +272,9 @@ def _outcome_chunks(spec: EstimatorSpec) -> Iterator[tuple[np.ndarray, np.ndarra
     values = np.asarray(spec.values, dtype=float)
     n = spec.n
     if spec.replacement:
-        sizes = np.asarray(spec.weight_sizes or (1,) * spec.universe, dtype=float)
+        sizes = spec.weight_sizes or (1,) * spec.universe
+        total = sum(sizes)
+        probs = np.array([z / total for z in sizes])  # exact integer division: no overflow
         outcomes = itertools.combinations_with_replacement(range(spec.universe), n)
     else:
         outcomes = _disjoint_subsets(tuple(range(spec.universe)), spec.group_sizes or (n,))
@@ -306,12 +286,14 @@ def _outcome_chunks(spec: EstimatorSpec) -> Iterator[tuple[np.ndarray, np.ndarra
         weights = np.ones(len(idx))
         if spec.replacement:
             # Rows are sorted, so runs[:, j] numbers the copies of idx[:, j]
-            # seen so far and each row's product of runs is prod m_j!.
+            # seen so far and each row's product of runs is prod m_j!.  The
+            # product of (j + 1) / runs[:, j] is n! / prod m_j! and never
+            # exceeds N^n, so it stays finite where n! alone would overflow.
             runs = np.ones(idx.shape)
             for j in range(1, n):
                 runs[:, j] = np.where(idx[:, j] == idx[:, j - 1], runs[:, j - 1] + 1, 1)
-            weights = math.factorial(n) / runs.prod(axis=1) * sizes[idx].prod(axis=1)
-        yield _estimates(spec, values[idx]), weights
+            weights = (np.arange(1, n + 1) / runs).prod(axis=1) * probs[idx].prod(axis=1)
+        yield estimators.estimates(values[idx], spec.group_sizes), weights
 
 
 def enumerate_moments(inst: Instance, config: DesignConfig) -> Moments:
@@ -348,11 +330,16 @@ def count_distributions_upto(
         raise ValueError("n must be >= 1")
     if not replacement and n > cp.size:
         raise ValueError(f"cannot draw {n} without replacement from {cp.size} units")
+    # The work is the count states visited over all n draws, at least one per
+    # draw; checked per draw, and up front so that a huge n fails at once.
+    if n > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(f"{n} draws exceed the enumeration limit {ENUMERATION_LIMIT}")
     k = cp.num_groups
     big_n = cp.size
     sizes = cp.subgroup_sizes
     dist: dict[tuple[int, ...], float] = {(0,) * k: 1.0}
     out = []
+    visited = 0
     for t in range(n):
         new: dict[tuple[int, ...], float] = {}
         remaining_total = big_n if replacement else big_n - t
@@ -364,9 +351,10 @@ def count_distributions_upto(
                 q = p * (avail / remaining_total)
                 ns = state[:j] + (state[j] + 1,) + state[j + 1 :]
                 new[ns] = new.get(ns, 0.0) + q
-        if len(new) > ENUMERATION_LIMIT:
+        visited += len(new)
+        if visited > ENUMERATION_LIMIT:
             raise EnumerationLimitError(
-                f"count support exceeds the enumeration limit {ENUMERATION_LIMIT}"
+                f"count states visited exceed the enumeration limit {ENUMERATION_LIMIT}"
             )
         dist = new
         out.append(dist)
@@ -476,7 +464,7 @@ def _block_values(
         idx = rng.integers(0, spec.universe, size=(size, spec.n))
     else:
         idx = _wor_indices(rng, size, spec.universe, spec.n)
-    return _estimates(spec, values[idx])
+    return estimators.estimates(values[idx], spec.group_sizes)
 
 
 def _merge_moments(
@@ -689,12 +677,7 @@ def relative_efficiency(
     wor_cfg = DesignConfig(wor_name, n=config.n, n1=config.n1)
     wr_cfg = DesignConfig(wr_name, n=config.n, n1=config.n1)
     spec_wor = estimator_spec(inst, wor_cfg)
-
-    if wor_name == "pps_wor":
-        eff_n, eff_size = spec_wor.n, inst.weights.total
-    else:
-        eff_n, eff_size = spec_wor.n, inst.population.size
-    predicted = fpc(eff_n, eff_size)
+    predicted = fpc(spec_wor.n, spec_wor.universe)
 
     se_wor = se_wr = None
     try:
@@ -739,8 +722,8 @@ def relative_efficiency(
         wr_variance=var_wr,
         ratio=ratio,
         predicted_fpc=predicted,
-        effective_population_size=eff_size,
-        sample_size=eff_n,
+        effective_population_size=spec_wor.universe,
+        sample_size=spec_wor.n,
         tolerances=tolerances.to_dict(),
         verdict=bool(verdict),
     )

@@ -216,6 +216,20 @@ class TestEnumerateCommand:
         ("compare", {"values": list(range(40))}, '{"design": "srs", "n": 6}',
          ["--trials", "50", "--seed", "1"]),
         ("enumerate", {"values": ["1", "2", "3"]}, '{"design": "srs", "n": 2}', []),
+        ("verify", POP5, '{"design": "srs", "n": true}', ["--seed", "1"]),
+        ("verify", POP5, '{"design": "srs", "group_sizes": [true, true]}', ["--seed", "1"]),
+        ("verify", {"values": [2, 2, 3], "sizes": [True, 2, 3]}, '{"design": "pps_wr", "n": 2}',
+         ["--seed", "1"]),
+        ("verify", {**POP_ACS, "threshold": True}, '{"design": "acs", "n1": 1}', ["--seed", "1"]),
+        ("enumerate", {"values": [1e308, 1e308, 1.0]}, '{"design": "srs", "n": 2}', []),
+        ("verify", {"values": [1e200, -1e200, 0]}, '{"design": "srs", "n": 2}',
+         ["--trials", "200", "--seed", "1"]),
+        ("verify", {"values": [1, 2], "sizes": [1, 10**400]}, '{"design": "pps_wr", "n": 1}',
+         ["--trials", "200", "--seed", "1"]),
+        ("verify", {"values": [1e308, 1.0], "sizes": [1, 6]}, '{"design": "pps_wr", "n": 2}',
+         ["--trials", "200", "--seed", "1"]),
+        ("compare", {"values": [1e308], "sizes": [2]}, '{"design": "pps_wr", "n": 1}', []),
+        ("enumerate", {"subgroup_sizes": [3]}, '{"design": "counts_wr", "n": 1000000000000}', []),
     ],
 )
 def test_bad_input_exits_1_without_traceback(tmp_path, capsys, command, population, design, extra):
@@ -225,3 +239,15 @@ def test_bad_input_exits_1_without_traceback(tmp_path, capsys, command, populati
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_oracle_refused_on_a_huge_ordered_count(tmp_path, capsys):
+    # 10**5000 ordered outcomes: the refusal must not spell the count out.
+    pop = write(tmp_path, "pop.json", {"values": list(range(10))})
+    code = main(["verify", "--population", pop, "--design", '{"design": "srs_wr", "n": 5000}',
+                 "--trials", "102", "--seed", "1"])
+    assert code in (0, 2)
+    report = json.loads(capsys.readouterr().out)
+    for name in ("enumerated_mean_matches", "enumerated_variance_matches"):
+        assert report["checks"][name] is None
+        assert "exceed the enumeration limit" in report["skipped"][name]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -216,3 +217,15 @@ class TestGroupedSample:
     def test_rejects_empty_group(self):
         with pytest.raises(ValueError):
             GroupedSample(((0,), ()))
+
+
+def test_srs_wor_memory_does_not_grow_with_n_units():
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        seq = srs(10**7, 3, False, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(seq.indices)) == 3 and all(0 <= i < 10**7 for i in seq.indices)
+    assert peak < 1 << 20

@@ -16,17 +16,31 @@ from finpop import (
     hansen_hurvitz,
     hh_variance,
     random_group_split,
-    random_group_variance_equal_sizes,
     random_group_variance_estimate,
     rg_pair_expectation,
     sample_mean,
     srs_mean_variance,
 )
-from finpop.designs import AcsSample, DrawSequence
+from finpop.designs import AcsSample, DrawSequence, GroupedSample
 
 POP5 = Population((1, 2, 3, 4, 5))
 POP_PPS = Population((2, 2, 3))
 W_PPS = SizeWeights((1, 2, 3))
+
+
+def random_group_variance_equal_sizes(pop: Population, g: GroupedSample) -> float:
+    """Equal-group-size shortcut: m times the sample variance (denominator
+    K-1) of the K group means.  Algebraically equal to the pairwise form."""
+    if g.num_groups < 2:
+        raise ValueError("need at least two groups")
+    sizes = set(g.sizes)
+    if len(sizes) != 1:
+        raise ValueError("shortcut requires equal group sizes")
+    m = g.sizes[0]
+    means = [math.fsum(pop.values[i] for i in grp) / len(grp) for grp in g.groups]
+    k = len(means)
+    grand = math.fsum(means) / k
+    return m * math.fsum((x - grand) ** 2 for x in means) / (k - 1)
 
 
 def enumerated_mean_var(values):

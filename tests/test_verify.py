@@ -666,3 +666,33 @@ class TestTolerances:
 def test_integer_fields_reject_non_integers(build):
     with pytest.raises(ValueError, match="integer"):
         build()
+
+
+@pytest.mark.parametrize(
+    "values, config",
+    [
+        (tuple(range(10)), DesignConfig("srs_wr", n=5000)),
+        (tuple(range(10**5)), DesignConfig("srs", n=1000)),
+        (tuple(range(10)), DesignConfig("srs_wr", n=500)),
+    ],
+)
+def test_enumeration_refusal_message_stays_short(values, config):
+    inst = Instance(population=Population(values))
+    with pytest.raises(EnumerationLimitError, match="ordered outcomes exceed") as info:
+        enumerate_moments(inst, config)
+    assert len(str(info.value)) < 100
+
+
+@pytest.mark.parametrize(
+    "inst, config",
+    [
+        # One ordered outcome, but n! and the raw size products overflow a float.
+        (Instance(population=Population((3.0,))), DesignConfig("srs_wr", n=200)),
+        (Instance(population=Population((1.0, 2.0)), weights=SizeWeights((2**62, 2**62 + 1))),
+         DesignConfig("pps_wr", n=20)),
+    ],
+)
+def test_oracle_weights_stay_finite(inst, config):
+    enum, theo = enumerate_moments(inst, config), theoretical_moments(inst, config)
+    tol = Tolerances()
+    assert tol.close(enum.mean, theo.mean) and tol.close(enum.variance, theo.variance)
