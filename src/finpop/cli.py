@@ -115,6 +115,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if name in COUNT_DESIGNS:
         if inst.classified is None:
             raise CliError("count enumeration requires 'subgroup_sizes' in the population file")
+        extra = set(design) - {"design", "n"}
+        if extra:
+            raise CliError(f"unknown design config keys: {sorted(extra)}")
+        if "n" not in design:
+            raise CliError(f"design {name!r} requires 'n'")
         n = as_index(design["n"], "n")
         replacement = name == "counts_wr"
         dist = enumerate_count_distribution(inst.classified, n, replacement)

@@ -5,7 +5,6 @@ population), adaptive cluster sampling, and random-group splitting."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,12 +18,11 @@ class DrawSequence:
     """Ordered unit indices (0-based) produced by a design.
 
     For the extended-population PPS design the indices address positions in
-    the extended population; map them back with SizeWeights.unit_of_position.
+    the extended population; map them back with SizeWeights.units_of.
     """
 
     indices: tuple[int, ...]
     replacement: bool
-    design_tag: str
 
     def __post_init__(self) -> None:
         indices = tuple(int(i) for i in self.indices)
@@ -88,7 +86,7 @@ def srs(N: int, n: int, replacement: bool, rng: np.random.Generator) -> DrawSequ
         raise ValueError("N must be >= 1")
     if replacement:
         indices = tuple(int(rng.integers(N)) for _ in range(n))
-        return DrawSequence(indices, True, "srs_wr")
+        return DrawSequence(indices, True)
     if n > N:
         raise ValueError(f"cannot draw {n} without replacement from {N} units")
     moved: dict[int, int] = {}  # pool position -> unit, where it is not the identity
@@ -97,18 +95,15 @@ def srs(N: int, n: int, replacement: bool, rng: np.random.Generator) -> DrawSequ
         j = int(rng.integers(k + 1))
         out.append(moved.get(j, j))
         moved[j] = moved.get(k, k)
-    return DrawSequence(tuple(out), False, "srs")
+    return DrawSequence(tuple(out), False)
 
 
 def pps_wr(w: SizeWeights, n: int, rng: np.random.Generator) -> DrawSequence:
-    """PPS with replacement: each draw selects unit i with probability
-    sizes[i]/total, by inverse transform on the cumulative integer weights."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cum = w.cumulative
-    total = w.total
-    indices = tuple(bisect_right(cum, int(rng.integers(total))) for _ in range(n))
-    return DrawSequence(indices, True, "pps_wr")
+    """PPS with replacement: SRS with replacement of n extended-population
+    positions, each mapped to the unit owning it, so every draw selects unit
+    i with probability sizes[i]/total."""
+    positions = srs(w.total, n, True, rng)
+    return DrawSequence(w.units_of(positions.indices), True)
 
 
 def pps_wor_extended(
@@ -118,10 +113,7 @@ def pps_wor_extended(
     sampling WOR of n positions out of the total(w) extended positions."""
     if w.num_units != pop.size:
         raise ValueError("size weights length does not match population size")
-    if n > w.total:
-        raise ValueError(f"cannot draw {n} without replacement from extended size {w.total}")
-    base = srs(w.total, n, replacement=False, rng=rng)
-    return DrawSequence(base.indices, False, "pps_wor")
+    return srs(w.total, n, False, rng)
 
 
 def acs(

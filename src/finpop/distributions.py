@@ -1,18 +1,17 @@
 """Multivariate hypergeometric / multinomial count distributions: pmfs, exact
 covariance matrices, the finite population correction linking them, and a
-sequential-draw sampler."""
+sampler that tallies an SRS of the units by class."""
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence, Union
 
 import numpy as np
 
-from .population import ClassifiedPopulation
+from .designs import srs
+from .population import ClassifiedPopulation, SizeWeights
 
 PROB_SUM_TOL = 1e-12
 
@@ -133,34 +132,11 @@ def sample_counts(
     replacement: bool,
     rng: np.random.Generator,
 ) -> CountVector:
-    """Draw class counts by n sequential single-unit draws.
-
-    Without replacement the remaining count of the drawn class is
-    decremented after each draw, so the trajectory is literally the
-    sequential sampling process.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not replacement and n > cp.size:
-        raise ValueError(f"cannot draw {n} without replacement from {cp.size} units")
-    k = cp.num_groups
-    counts = [0] * k
-    if replacement:
-        cum = tuple(accumulate(cp.subgroup_sizes))
-        for _ in range(n):
-            r = int(rng.integers(cp.size))
-            counts[bisect_right(cum, r)] += 1
-    else:
-        remaining = list(cp.subgroup_sizes)
-        total = cp.size
-        for _ in range(n):
-            r = int(rng.integers(total))
-            acc = 0
-            for j in range(k):
-                acc += remaining[j]
-                if r < acc:
-                    counts[j] += 1
-                    remaining[j] -= 1
-                    total -= 1
-                    break
+    """Draw class counts as the class tally of srs(N, n, replacement, rng),
+    where class k owns N_k consecutive units: a multivariate hypergeometric
+    count vector without replacement, a multinomial one with it."""
+    units = srs(cp.size, n, replacement, rng).indices
+    counts = [0] * cp.num_groups
+    for k in SizeWeights(cp.subgroup_sizes).units_of(units):
+        counts[k] += 1
     return CountVector(tuple(counts))

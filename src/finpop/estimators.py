@@ -11,7 +11,6 @@ row, and the enumeration oracle and the Monte Carlo harness pass it many.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,10 +50,10 @@ def _estimate(drawn: list[float], group_sizes: Optional[Sequence[int]] = None) -
     return float(estimates(np.array([drawn], dtype=float), group_sizes)[0])
 
 
-def _in_range(indices: Sequence[int], size: int, what: str = "population") -> Sequence[int]:
+def _in_range(indices: Sequence[int], size: int) -> Sequence[int]:
     for i in (min(indices), max(indices)):
         if not 0 <= i < size:
-            raise ValueError(f"index {i} out of range for {what} of size {size}")
+            raise ValueError(f"index {i} out of range for population of size {size}")
     return indices
 
 
@@ -89,12 +88,7 @@ def hansen_hurvitz(pop: Population, w: SizeWeights, seq: DrawSequence) -> float:
     if w.num_units != pop.size:
         raise ValueError("size weights length does not match population size")
     total = w.total
-    if seq.replacement:
-        units = _in_range(seq.indices, pop.size)
-    else:
-        cumulative = w.cumulative
-        positions = _in_range(seq.indices, total, "extended population")
-        units = [bisect_right(cumulative, p) for p in positions]
+    units = _in_range(seq.indices, pop.size) if seq.replacement else w.units_of(seq.indices)
     return _estimate([pop.values[i] / (w.sizes[i] / total) for i in units])
 
 

@@ -144,11 +144,16 @@ class SizeWeights:
     def cumulative(self) -> tuple[int, ...]:
         return tuple(accumulate(self.sizes))
 
-    def unit_of_position(self, position: int) -> int:
-        """Original unit owning a given extended-population position (0-based)."""
-        if not 0 <= position < self.total:
-            raise ValueError(f"position {position} outside extended population of size {self.total}")
-        return bisect_right(self.cumulative, position)
+    def units_of(self, positions: Sequence[int]) -> tuple[int, ...]:
+        """Original units owning the given extended-population positions
+        (0-based): unit i owns the sizes[i] positions after those of units
+        0..i-1.  This is the one position-to-unit map of the package."""
+        cumulative = self.cumulative
+        total = cumulative[-1]
+        for p in (min(positions), max(positions)):
+            if not 0 <= p < total:
+                raise ValueError(f"position {p} outside extended population of size {total}")
+        return tuple(bisect_right(cumulative, p) for p in positions)
 
 
 @dataclass(frozen=True)

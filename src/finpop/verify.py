@@ -509,6 +509,29 @@ def simulate_blocks(
     return out
 
 
+def _empirical(blocks: list[tuple[int, float, float]]) -> dict:
+    """Merged mean and variance of simulate_blocks accumulators, with the
+    standard error of the mean and, from the spread of the per-block
+    variances, of the variance (None where too few trials give none)."""
+    count, mean, m2 = blocks[0]
+    for blk in blocks[1:]:
+        count, mean, m2 = _merge_moments((count, mean, m2), blk)
+    variance = m2 / (count - 1) if count > 1 else 0.0
+    block_vars = [b_m2 / (b_n - 1) for b_n, _, b_m2 in blocks if b_n > 1]
+    se_var = None
+    if len(block_vars) > 1:
+        bv_mean = math.fsum(block_vars) / len(block_vars)
+        bv_spread = math.fsum((v - bv_mean) ** 2 for v in block_vars) / (len(block_vars) - 1)
+        se_var = math.sqrt(bv_spread / len(block_vars))
+    return {
+        "mean": mean,
+        "variance": variance,
+        "trials": count,
+        "standard_error_mean": math.sqrt(variance / count) if count > 1 else None,
+        "standard_error_variance": se_var,
+    }
+
+
 @dataclass(frozen=True)
 class MomentReport:
     """Theoretical vs. enumerated vs. Monte Carlo moments with verdicts."""
@@ -547,19 +570,10 @@ def run_monte_carlo(
     enumeration oracle is run as well and compared at the oracle tolerance.
     """
     spec = estimator_spec(inst, config)
-    blocks = simulate_blocks(inst, config, trials, seed)
-    count, mean, m2 = blocks[0]
-    for blk in blocks[1:]:
-        count, mean, m2 = _merge_moments((count, mean, m2), blk)
-    variance = m2 / (count - 1) if count > 1 else 0.0
-    se_mean = math.sqrt(variance / count) if count > 1 else None
-    block_vars = [b_m2 / (b_n - 1) for b_n, _, b_m2 in blocks if b_n > 1]
-    if len(block_vars) > 1:
-        bv_mean = math.fsum(block_vars) / len(block_vars)
-        bv_spread = math.fsum((v - bv_mean) ** 2 for v in block_vars) / (len(block_vars) - 1)
-        se_var = math.sqrt(bv_spread / len(block_vars))
-    else:
-        se_var = None
+    empirical = _empirical(simulate_blocks(inst, config, trials, seed))
+    mean, variance = empirical["mean"], empirical["variance"]
+    se_mean = empirical["standard_error_mean"]
+    se_var = empirical["standard_error_variance"]
 
     try:
         enum, refused = enumerate_moments(inst, config), None
@@ -606,13 +620,7 @@ def run_monte_carlo(
         design=config.design,
         theoretical={"mean": theo.mean, "variance": theo.variance},
         enumerated=None if enum is None else {"mean": enum.mean, "variance": enum.variance},
-        empirical={
-            "mean": mean,
-            "variance": variance,
-            "trials": count,
-            "standard_error_mean": se_mean,
-            "standard_error_variance": se_var,
-        },
+        empirical=empirical,
         normalizations=normalizations,
         tolerances=tolerances.to_dict(),
         checks=checks,
@@ -687,12 +695,12 @@ def relative_efficiency(
     except EnumerationLimitError:
         if seed is None or trials is None:
             raise
-        rep_wor = run_monte_carlo(inst, wor_cfg, trials, seed, tolerances)
-        rep_wr = run_monte_carlo(inst, wr_cfg, trials, seed + 1, tolerances)
-        var_wor = rep_wor.empirical["variance"]
-        var_wr = rep_wr.empirical["variance"]
-        se_wor = rep_wor.empirical["standard_error_variance"]
-        se_wr = rep_wr.empirical["standard_error_variance"]
+        # The same draws run_monte_carlo makes at these seeds, without its
+        # oracle try and its bands, which this report does not use.
+        emp_wor = _empirical(simulate_blocks(inst, wor_cfg, trials, seed))
+        emp_wr = _empirical(simulate_blocks(inst, wr_cfg, trials, seed + 1))
+        var_wor, se_wor = emp_wor["variance"], emp_wor["standard_error_variance"]
+        var_wr, se_wr = emp_wr["variance"], emp_wr["standard_error_variance"]
         if se_wor is None or se_wr is None:
             raise ValueError(
                 f"trials={trials} is too few for the Monte Carlo fallback: the standard error "

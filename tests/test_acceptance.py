@@ -186,7 +186,7 @@ def test_criterion_5_random_group():
                         pair_sq = {}
                         for perm in perms:
                             g = random_group_split(
-                                DrawSequence(perm, False, "srs"), sizes
+                                DrawSequence(perm, False), sizes
                             )
                             estimates.append(random_group_variance_estimate(pop, g))
                             means = [

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -230,6 +231,8 @@ class TestEnumerateCommand:
          ["--trials", "200", "--seed", "1"]),
         ("compare", {"values": [1e308], "sizes": [2]}, '{"design": "pps_wr", "n": 1}', []),
         ("enumerate", {"subgroup_sizes": [3]}, '{"design": "counts_wr", "n": 1000000000000}', []),
+        ("enumerate", POP_COUNTS, '{"design": "counts", "n": 2, "nn": 5}', []),
+        ("enumerate", POP_COUNTS, '{"design": "counts_wr"}', []),
     ],
 )
 def test_bad_input_exits_1_without_traceback(tmp_path, capsys, command, population, design, extra):
@@ -239,6 +242,7 @@ def test_bad_input_exits_1_without_traceback(tmp_path, capsys, command, populati
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert not re.fullmatch(r"error: '\w*'\n", err), "a bare KeyError names no problem"
 
 
 def test_oracle_refused_on_a_huge_ordered_count(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from bisect import bisect_right
 import tracemalloc
 from collections import Counter
 
@@ -18,36 +19,21 @@ from finpop import (
 )
 from finpop.designs import DrawSequence, GroupedSample
 
-
-class ScriptedRng:
-    """Deterministic stand-in feeding a fixed script of choices, used to
-    enumerate every reachable sampler output."""
-
-    def __init__(self, script):
-        self.script = list(script)
-        self.pos = 0
-
-    def integers(self, low, high=None):
-        if high is None:
-            low, high = 0, low
-        v = self.script[self.pos]
-        self.pos += 1
-        assert low <= v < high
-        return v
+from conftest import ScriptedRng
 
 
 class TestDrawSequence:
     def test_wor_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            DrawSequence((1, 1), False, "srs")
+            DrawSequence((1, 1), False)
 
     def test_wr_allows_duplicates(self):
-        seq = DrawSequence((1, 1), True, "srs_wr")
+        seq = DrawSequence((1, 1), True)
         assert seq.n == 2
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            DrawSequence((), False, "srs")
+            DrawSequence((), False)
 
 
 class TestSrs:
@@ -109,6 +95,16 @@ class TestPpsWr:
             se = math.sqrt(p * (1 - p) / trials)
             assert abs(hits[i] / trials - p) <= 4 * se
 
+    def test_draws_match_bisect_loop(self):
+        # Reference loop: one rng.integers(total) per draw, inverted on the
+        # cumulative sizes by bisection.  The draws must match exactly.
+        w = SizeWeights((3, 1, 4, 1, 5))
+        cumulative = tuple(itertools.accumulate(w.sizes))
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            old = tuple(bisect_right(cumulative, int(rng.integers(w.total))) for _ in range(7))
+            assert pps_wr(w, 7, np.random.default_rng(seed)).indices == old
+
 
 class TestPpsWorExtended:
     def test_unit_weights_reduce_to_srs(self):
@@ -126,7 +122,6 @@ class TestPpsWorExtended:
         w = SizeWeights((1, 2, 3))
         seq = pps_wor_extended(pop, w, 6, rng)
         assert sorted(seq.indices) == list(range(6))
-        assert seq.design_tag == "pps_wor"
 
     def test_oversized_draw(self, rng):
         with pytest.raises(ValueError):
@@ -170,17 +165,17 @@ class TestRandomGroupSplit:
         assert g.groups == (seq.indices,)
 
     def test_contiguous_segmentation(self):
-        seq = DrawSequence((2, 0, 3, 1), False, "srs")
+        seq = DrawSequence((2, 0, 3, 1), False)
         g = random_group_split(seq, (2, 2))
         assert g.groups == ((2, 0), (3, 1))
 
     def test_rejects_wr_input(self):
-        seq = DrawSequence((0, 0), True, "srs_wr")
+        seq = DrawSequence((0, 0), True)
         with pytest.raises(ValueError):
             random_group_split(seq, (1, 1))
 
     def test_rejects_size_mismatch(self):
-        seq = DrawSequence((0, 1, 2), False, "srs")
+        seq = DrawSequence((0, 1, 2), False)
         with pytest.raises(ValueError):
             random_group_split(seq, (2, 2))
 
@@ -191,7 +186,7 @@ class TestRandomGroupSplit:
         n = sum(sizes)
         counts = Counter()
         for perm in itertools.permutations(range(N), n):
-            g = random_group_split(DrawSequence(perm, False, "srs"), sizes)
+            g = random_group_split(DrawSequence(perm, False), sizes)
             key = tuple(frozenset(grp) for grp in g.groups)
             counts[key] += 1
         expected = math.prod(math.factorial(s) for s in sizes)
@@ -203,7 +198,7 @@ class TestRandomGroupSplit:
         N, sizes = 5, (1, 2)
         counts = Counter()
         for perm in itertools.permutations(range(N), 3):
-            g = random_group_split(DrawSequence(perm, False, "srs"), sizes)
+            g = random_group_split(DrawSequence(perm, False), sizes)
             counts[tuple(frozenset(grp) for grp in g.groups)] += 1
         expected = math.prod(math.factorial(s) for s in sizes)
         assert set(counts.values()) == {expected}

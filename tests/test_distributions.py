@@ -1,5 +1,7 @@
 import itertools
 import math
+from bisect import bisect_right
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from finpop import (
     sample_counts,
 )
 
-from conftest import compositions
+from conftest import ScriptedRng, compositions
 
 
 def labeled_units(cp):
@@ -269,3 +271,36 @@ class TestSampleCounts:
         for counts, p in expected.items():
             se = math.sqrt(p * (1 - p) / trials)
             assert abs(hits.get(counts, 0) / trials - p) <= 4 * se
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (1, 2, 2)])
+    def test_every_script_gives_the_exact_law(self, sizes):
+        # srs draws rng.integers(N - i) at draw i without replacement and
+        # rng.integers(N) with it; every script of choices is equally likely.
+        cp = ClassifiedPopulation(sizes)
+        N = cp.size
+        cases = [(n, False, [range(N - i) for i in range(n)]) for n in range(1, N + 1)]
+        cases += [(n, True, [range(N)] * n) for n in range(1, 4)]
+        for n, replacement, choices in cases:
+            scripts = list(itertools.product(*choices))
+            tally = Counter(
+                sample_counts(cp, n, replacement, ScriptedRng(s)).counts for s in scripts
+            )
+            K = cp.num_groups
+            for counts in (tuple(c - 1 for c in comp) for comp in compositions(n + K, K)):
+                if replacement:
+                    p = multinomial_pmf(counts, cp.proportions)
+                else:
+                    p = mvhyper_pmf(counts, cp)
+                assert abs(tally[counts] / len(scripts) - p) <= 1e-12, (n, replacement, counts)
+
+    def test_wr_draws_match_bisect_loop(self):
+        # Reference loop: one rng.integers(N) per draw, inverted on the
+        # cumulative class sizes by bisection.  The draws must match exactly.
+        cp = ClassifiedPopulation((2, 5, 1, 3))
+        cumulative = tuple(itertools.accumulate(cp.subgroup_sizes))
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            old = [0] * cp.num_groups
+            for _ in range(9):
+                old[bisect_right(cumulative, int(rng.integers(cp.size)))] += 1
+            assert sample_counts(cp, 9, True, np.random.default_rng(seed)).counts == tuple(old)

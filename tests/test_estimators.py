@@ -57,19 +57,19 @@ def weighted_mean_var(values, weights):
 
 class TestSampleMean:
     def test_census(self):
-        seq = DrawSequence((4, 1, 0, 3, 2), False, "srs")
+        seq = DrawSequence((4, 1, 0, 3, 2), False)
         assert sample_mean(POP5, seq) == 3.0
 
     def test_worked_example(self):
-        assert sample_mean(POP5, DrawSequence((1, 4), False, "srs")) == 3.5
+        assert sample_mean(POP5, DrawSequence((1, 4), False)) == 3.5
 
     def test_constant_population(self):
         pop = Population((7, 7, 7))
-        assert sample_mean(pop, DrawSequence((0, 2), False, "srs")) == 7.0
+        assert sample_mean(pop, DrawSequence((0, 2), False)) == 7.0
 
     def test_out_of_range_index(self):
         with pytest.raises(ValueError):
-            sample_mean(POP5, DrawSequence((9,), False, "srs"))
+            sample_mean(POP5, DrawSequence((9,), False))
 
 
 class TestSrsMeanVariance:
@@ -117,20 +117,20 @@ class TestHansenHurvitz:
         pop = Population((1, 2, 3))
         w = SizeWeights((1, 2, 3))
         for idx in itertools.product(range(3), repeat=2):
-            seq = DrawSequence(idx, True, "pps_wr")
+            seq = DrawSequence(idx, True)
             assert hansen_hurvitz(pop, w, seq) == pytest.approx(6.0, abs=1e-12)
 
     def test_single_draw_value(self):
-        seq = DrawSequence((0,), True, "pps_wr")
+        seq = DrawSequence((0,), True)
         assert hansen_hurvitz(POP_PPS, W_PPS, seq) == pytest.approx(12.0, abs=1e-12)
 
     def test_extended_census_returns_total(self):
-        seq = DrawSequence(tuple(range(6)), False, "pps_wor")
+        seq = DrawSequence(tuple(range(6)), False)
         assert hansen_hurvitz(POP_PPS, W_PPS, seq) == pytest.approx(7.0, abs=1e-12)
 
     def test_weight_mismatch(self):
         with pytest.raises(ValueError):
-            hansen_hurvitz(POP_PPS, SizeWeights((1, 2)), DrawSequence((0,), True, "pps_wr"))
+            hansen_hurvitz(POP_PPS, SizeWeights((1, 2)), DrawSequence((0,), True))
 
 
 class TestHhVariance:
@@ -171,14 +171,14 @@ class TestAcs:
         self.part = NetworkPartition.from_assignment(self.pop, [0, 0, 1])
 
     def _sample(self, initial, replacement=False):
-        seq = DrawSequence(initial, replacement, "srs" if not replacement else "srs_wr")
+        seq = DrawSequence(initial, replacement)
         members = {0: {0, 1}, 1: {2}}
         final = frozenset().union(*(members[self.part.assignment[i]] for i in initial))
         return AcsSample(seq, final)
 
     def test_singleton_networks_reduce_to_sample_mean(self):
         part = NetworkPartition.from_assignment(self.pop, [0, 1, 2])
-        s = AcsSample(DrawSequence((0, 2), False, "srs"), frozenset({0, 2}))
+        s = AcsSample(DrawSequence((0, 2), False), frozenset({0, 2}))
         assert acs_mean(self.pop, part, s) == sample_mean(self.pop, s.initial)
 
     def test_network_mean_worked_example(self):
@@ -220,7 +220,7 @@ class TestAcs:
 class TestRandomGroupVariance:
     def test_constant_population_is_zero(self):
         pop = Population((3, 3, 3, 3))
-        seq = DrawSequence((0, 1, 2, 3), False, "srs")
+        seq = DrawSequence((0, 1, 2, 3), False)
         g = random_group_split(seq, (2, 2))
         assert random_group_variance_estimate(pop, g) == 0.0
 
@@ -228,13 +228,13 @@ class TestRandomGroupVariance:
         pop = Population((1, 2, 3, 4))
         estimates = []
         for perm in itertools.permutations(range(4)):
-            g = random_group_split(DrawSequence(perm, False, "srs"), (2, 2))
+            g = random_group_split(DrawSequence(perm, False), (2, 2))
             estimates.append(random_group_variance_estimate(pop, g))
         assert math.fsum(estimates) / len(estimates) == pytest.approx(5 / 3, abs=1e-12)
 
     def test_needs_two_groups(self):
         pop = Population((1, 2, 3))
-        g = random_group_split(DrawSequence((0, 1, 2), False, "srs"), (3,))
+        g = random_group_split(DrawSequence((0, 1, 2), False), (3,))
         with pytest.raises(ValueError):
             random_group_variance_estimate(pop, g)
 
@@ -249,7 +249,7 @@ class TestRandomGroupVariance:
                      min_size=n, max_size=n)
         )
         pop = Population(tuple(values))
-        seq = DrawSequence(tuple(range(n)), False, "srs")
+        seq = DrawSequence(tuple(range(n)), False)
         g = random_group_split(seq, (m,) * n_groups)
         a = random_group_variance_estimate(pop, g)
         b = random_group_variance_equal_sizes(pop, g)
@@ -257,7 +257,7 @@ class TestRandomGroupVariance:
 
     def test_shortcut_requires_equal_sizes(self):
         pop = Population((1, 2, 3))
-        g = random_group_split(DrawSequence((0, 1, 2), False, "srs"), (1, 2))
+        g = random_group_split(DrawSequence((0, 1, 2), False), (1, 2))
         with pytest.raises(ValueError):
             random_group_variance_equal_sizes(pop, g)
 

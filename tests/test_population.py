@@ -54,11 +54,13 @@ class TestSizeWeights:
         with pytest.raises(ValueError):
             SizeWeights((1, 0, 3))
 
-    def test_unit_of_position(self):
+    def test_units_of(self):
         w = SizeWeights((1, 2, 3))
-        assert [w.unit_of_position(p) for p in range(6)] == [0, 1, 1, 2, 2, 2]
-        with pytest.raises(ValueError):
-            w.unit_of_position(6)
+        assert w.units_of(range(6)) == (0, 1, 1, 2, 2, 2)
+        assert w.units_of((5, 0, 2, 5)) == (2, 0, 1, 2)
+        for bad in ((0, 6), (-1, 3)):
+            with pytest.raises(ValueError, match="outside extended population of size 6"):
+                w.units_of(bad)
 
 
 class TestExtendPps:

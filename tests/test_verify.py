@@ -627,6 +627,10 @@ class TestRelativeEfficiency:
         )
         assert rep.method == "monte_carlo"
         assert rep.verdict
+        wor = run_monte_carlo(inst, DesignConfig("srs", n=6), 200_000, 12)
+        wr = run_monte_carlo(inst, DesignConfig("srs_wr", n=6), 200_000, 13)
+        assert rep.wor_variance == wor.empirical["variance"]
+        assert rep.wr_variance == wr.empirical["variance"]
 
     def test_monte_carlo_fallback_too_few_trials(self):
         inst = Instance(population=Population(tuple(range(40))))
@@ -660,7 +664,7 @@ class TestTolerances:
         lambda: DesignConfig("acs", n1=2.0),
         lambda: DesignConfig("srs", group_sizes=(2, 2.5)),
         lambda: DesignConfig.from_mapping({"design": "srs", "n": "2"}),
-        lambda: random_group_split(DrawSequence((0, 1, 2, 3), False, "srs"), (2.0, 2)),
+        lambda: random_group_split(DrawSequence((0, 1, 2, 3), False), (2.0, 2)),
     ],
 )
 def test_integer_fields_reject_non_integers(build):
