@@ -8,6 +8,7 @@ import operator
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -131,16 +132,18 @@ class SizeWeights:
     def num_units(self) -> int:
         return len(self.sizes)
 
-    @property
+    # Cached on first access: cached_property writes the instance __dict__
+    # directly, so it works on the frozen dataclass and leaves __eq__ alone.
+    @cached_property
     def total(self) -> int:
         return sum(self.sizes)
 
-    @property
+    @cached_property
     def probabilities(self) -> tuple[float, ...]:
         t = self.total
         return tuple(s / t for s in self.sizes)
 
-    @property
+    @cached_property
     def cumulative(self) -> tuple[int, ...]:
         return tuple(accumulate(self.sizes))
 

@@ -32,10 +32,14 @@ from .distributions import fpc
 ENUMERATION_LIMIT = 10_000_000
 NUM_BLOCKS = 100
 ORACLE_CHUNK = 1 << 15
+# Most elements in any per-trial temporary of one Monte Carlo draw: 2^14
+# float64s are 128 KiB, which stays in the heap and in L2 cache.
+CHUNK_ELEMENTS = 1 << 14
 # Version of the Monte Carlo draws a seed produces; reports carry it.
 # 1: the original samplers; 2: Floyd sampling for WOR draws with N > 4n;
-# 3: the exact integer alias draw for PPS with replacement.
-RNG_STREAM = 3
+# 3: the exact integer alias draw for PPS with replacement; 4: blocks drawn
+# in chunks of at most CHUNK_ELEMENTS.
+RNG_STREAM = 4
 
 DESIGN_NAMES = ("srs", "srs_wr", "pps_wr", "pps_wor", "acs", "acs_wr")
 
@@ -380,6 +384,11 @@ def count_moments(dist: Mapping[tuple[int, ...], float]) -> tuple[np.ndarray, np
 # ---------------------------------------------------------------------------
 # Monte Carlo harness.
 
+def _sorts_keys(universe: int, n: int) -> bool:
+    """Whether _wor_indices draws n of universe by sorting universe keys."""
+    return universe <= 4 * n
+
+
 def _wor_indices(rng: np.random.Generator, size: int, universe: int, n: int) -> np.ndarray:
     """(size, n) array whose rows are independent uniform ordered draws of n
     distinct indices from range(universe).
@@ -391,7 +400,7 @@ def _wor_indices(rng: np.random.Generator, size: int, universe: int, n: int) -> 
     Floyd fills a draw-major (n, size) buffer, so each step reads and writes
     contiguous rows.
     """
-    if universe <= 4 * n:
+    if _sorts_keys(universe, n):
         keys = rng.random((size, universe))
         return np.argsort(keys, axis=1)[:, :n]
     idx = np.empty((n, size), dtype=np.int64)
@@ -492,20 +501,28 @@ def simulate_blocks(
     """Per-block (count, mean, sum of squared deviations) accumulators.
 
     Block b draws from a stream derived deterministically from (seed, b), so
-    any execution order reproduces the same accumulators.
+    any execution order reproduces the same accumulators.  Each block is
+    drawn in chunks whose widest per-trial temporary (universe keys on the
+    key-sort path, n indices otherwise) holds at most CHUNK_ELEMENTS
+    elements, so memory does not grow with trials.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     spec = estimator_spec(inst, config)
     values = np.asarray(spec.values, dtype=float)
     table = None if spec.weight_sizes is None else _alias_table(spec.weight_sizes)
+    sorts_keys = not spec.replacement and _sorts_keys(spec.universe, spec.n)
+    step = max(1, CHUNK_ELEMENTS // (spec.universe if sorts_keys else spec.n))
     out = []
     for b, size in enumerate(_block_sizes(trials)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(b,)))
-        v = _block_values(spec, values, rng, size, table)
-        m = float(v.mean())
-        m2 = float(((v - m) ** 2).sum())
-        out.append((size, m, m2))
+        acc = None
+        for start in range(0, size, step):
+            v = _block_values(spec, values, rng, min(step, size - start), table)
+            m = float(v.mean())
+            chunk = (len(v), m, float(((v - m) ** 2).sum()))
+            acc = chunk if acc is None else _merge_moments(acc, chunk)
+        out.append(acc)
     return out
 
 

@@ -62,6 +62,17 @@ class TestSizeWeights:
             with pytest.raises(ValueError, match="outside extended population of size 6"):
                 w.units_of(bad)
 
+    def test_derived_tuples_are_cached(self):
+        w = SizeWeights((1, 2, 3))
+        assert w.cumulative is w.cumulative
+        assert w.probabilities is w.probabilities
+        assert w.cumulative == (1, 3, 6) and w.total == 6
+        # The cache lives beside the fields: equality and hashing ignore it.
+        fresh = SizeWeights((1, 2, 3))
+        assert w == fresh and hash(w) == hash(fresh)
+        assert w.units_of(range(6)) == (0, 1, 1, 2, 2, 2)
+        assert w.units_of((5, 0, 2, 5)) == fresh.units_of((5, 0, 2, 5)) == (2, 0, 1, 2)
+
 
 class TestExtendPps:
     def test_proportional_population_is_constant(self):

@@ -452,7 +452,7 @@ class TestVerdictNeedsBands:
 class TestRngStream:
     def test_monte_carlo_report(self):
         rep = run_monte_carlo(PPS_INST, DesignConfig("pps_wr", n=2), 1000, 5)
-        assert verify.RNG_STREAM == 3
+        assert verify.RNG_STREAM == 4
         assert json.loads(rep.to_json())["rng_stream"] == verify.RNG_STREAM
 
     def test_relative_efficiency_reports(self):
@@ -582,6 +582,40 @@ class TestBlockKernel:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestChunkedBlocks:
+    # simulate_blocks draws each block in chunks of at most CHUNK_ELEMENTS
+    # elements and merges their moments.  These streams do not depend on
+    # the chunk size, so the accumulators must not either.
+    @pytest.mark.parametrize(
+        "inst, cfg",
+        [
+            (FORTY, DesignConfig("srs_wr", n=4)),
+            (SKEWED_ACS, DesignConfig("acs_wr", n1=3)),
+            (SEVEN, DesignConfig("srs", n=3)),  # key sort: N <= 4n
+            (SEVEN, DesignConfig("srs", group_sizes=(2, 2, 2))),
+        ],
+    )
+    def test_chunk_merge_matches_unchunked(self, monkeypatch, inst, cfg):
+        whole = simulate_blocks(inst, cfg, 20_150, 31)
+        monkeypatch.setattr(verify, "CHUNK_ELEMENTS", 64)
+        chunked = simulate_blocks(inst, cfg, 20_150, 31)
+        assert sum(b[0] for b in chunked) == 20_150
+        assert [b[0] for b in chunked] == [b[0] for b in whole]
+        for (_, m_c, m2_c), (_, m_w, m2_w) in zip(chunked, whole):
+            assert math.isclose(m_c, m_w, rel_tol=1e-12)
+            assert math.isclose(m2_c, m2_w, rel_tol=1e-12)
+
+    def test_memory_does_not_grow_with_trials(self):
+        inst = Instance(population=Population(tuple(range(100))))
+        tracemalloc.start()
+        try:
+            simulate_blocks(inst, DesignConfig("srs_wr", n=50), 10**6, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestRelativeEfficiency:
