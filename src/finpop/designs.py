@@ -25,7 +25,7 @@ class DrawSequence:
     replacement: bool
 
     def __post_init__(self) -> None:
-        indices = tuple(int(i) for i in self.indices)
+        indices = as_indices(self.indices, "index")
         if len(indices) < 1:
             raise ValueError("draw sequence must contain at least one draw")
         if any(i < 0 for i in indices):
@@ -46,7 +46,7 @@ class GroupedSample:
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        groups = tuple(tuple(int(i) for i in g) for g in self.groups)
+        groups = tuple(as_indices(g, "index") for g in self.groups)
         if any(len(g) < 1 for g in groups):
             raise ValueError("every group must contain at least one draw")
         flat = [i for g in groups for i in g]

@@ -11,7 +11,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .designs import srs
-from .population import ClassifiedPopulation, SizeWeights
+from .population import ClassifiedPopulation, SizeWeights, as_index, as_indices
 
 PROB_SUM_TOL = 1e-12
 
@@ -23,7 +23,7 @@ class CountVector:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
+        counts = as_indices(self.counts, "count")
         if len(counts) < 1:
             raise ValueError("count vector must have at least one class")
         if any(c < 0 for c in counts):
@@ -41,7 +41,7 @@ Counts = Union[CountVector, Sequence[int]]
 def _as_counts(c: Counts) -> tuple[int, ...]:
     if isinstance(c, CountVector):
         return c.counts
-    counts = tuple(int(x) for x in c)
+    counts = as_indices(c, "count")
     if any(x < 0 for x in counts):
         raise ValueError("counts must be nonnegative")
     return counts
@@ -54,6 +54,7 @@ def fpc(n: int, N: int) -> float:
     with-replacement (co)variance.  Defined as 1 for N = 1 (the single
     census draw, where the two schemes coincide).
     """
+    n, N = as_index(n, "n"), as_index(N, "N")
     if not 1 <= n <= N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
     if N == 1:
@@ -108,6 +109,7 @@ def multinomial_pmf(c: Counts, probs: Sequence[float]) -> float:
 
 def multinomial_cov(probs: Sequence[float], n: int) -> np.ndarray:
     """Covariance matrix of multinomial counts: n (diag(p) - p p^T)."""
+    n = as_index(n, "n")
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("probability vector must be one-dimensional and nonempty")
@@ -121,6 +123,7 @@ def multinomial_cov(probs: Sequence[float], n: int) -> np.ndarray:
 def mvhyper_cov(cp: ClassifiedPopulation, n: int) -> np.ndarray:
     """Covariance matrix of without-replacement counts: the multinomial
     covariance at proportions N_k/N, scaled entrywise by fpc(n, N)."""
+    n = as_index(n, "n")
     if not 1 <= n <= cp.size:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={cp.size}")
     return multinomial_cov(cp.proportions, n) * fpc(n, cp.size)

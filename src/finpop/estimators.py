@@ -17,7 +17,7 @@ import numpy as np
 
 from .designs import AcsSample, DrawSequence, GroupedSample
 from .distributions import fpc
-from .population import NetworkPartition, Population, SizeWeights
+from .population import NetworkPartition, Population, SizeWeights, as_index
 
 
 def estimates(drawn: np.ndarray, group_sizes: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -61,6 +61,7 @@ def _design_variance(sigma2: float, n: int, universe: int, replacement: bool, na
     """Variance of the mean of n draws from a universe whose single-draw
     variance is sigma2: sigma2 / n, times fpc(n, universe) without
     replacement."""
+    n = as_index(n, name)
     if n < 1:
         raise ValueError(f"{name} must be >= 1")
     if not replacement and n > universe:
@@ -89,7 +90,10 @@ def hansen_hurvitz(pop: Population, w: SizeWeights, seq: DrawSequence) -> float:
         raise ValueError("size weights length does not match population size")
     total = w.total
     units = _in_range(seq.indices, pop.size) if seq.replacement else w.units_of(seq.indices)
-    return _estimate([pop.values[i] / (w.sizes[i] / total) for i in units])
+    ratios = [pop.values[i] / (w.sizes[i] / total) for i in units]
+    if not all(map(math.isfinite, ratios)):
+        raise ValueError("every Y_i/Z_i must be finite")
+    return _estimate(ratios)
 
 
 def hh_variance(pop: Population, w: SizeWeights, n: int, replacement: bool) -> float:

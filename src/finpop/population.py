@@ -194,8 +194,8 @@ class NetworkPartition:
     network_means: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        assignment = tuple(int(a) for a in self.assignment)
-        sizes = tuple(int(s) for s in self.network_sizes)
+        assignment = as_indices(self.assignment, "network id")
+        sizes = as_indices(self.network_sizes, "network size")
         means = tuple(float(m) for m in self.network_means)
         k = len(sizes)
         if len(means) != k:

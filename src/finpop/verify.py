@@ -6,6 +6,7 @@ comparing both against the theoretical values."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -31,7 +32,6 @@ from .distributions import fpc
 
 ENUMERATION_LIMIT = 10_000_000
 NUM_BLOCKS = 100
-ORACLE_CHUNK = 1 << 15
 # Most elements in any per-trial temporary of one Monte Carlo draw: 2^14
 # float64s are 128 KiB, which stays in the heap and in L2 cache.
 CHUNK_ELEMENTS = 1 << 14
@@ -56,6 +56,11 @@ class Tolerances:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     se_multiplier: float = 4.0
+
+    def __post_init__(self) -> None:
+        for name, value in self.to_dict().items():
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"tolerance {name} must be finite and >= 0, got {value!r}")
 
     def close(self, observed: float, expected: float) -> bool:
         return abs(observed - expected) <= max(self.abs_tol, self.rel_tol * abs(expected))
@@ -262,10 +267,10 @@ def _disjoint_subsets(pool: tuple[int, ...], sizes: Sequence[int]) -> Iterator[t
             yield head + tail
 
 
-def _outcome_chunks(spec: EstimatorSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _outcome_chunks(spec: EstimatorSpec) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
     """(estimates, weights) over the design's unordered outcomes, in chunks of
-    ORACLE_CHUNK outcomes; an outcome's weight is proportional to its
-    probability.
+    at most CHUNK_ELEMENTS // n outcomes; an outcome's weight is proportional
+    to its probability, and None means all weigh the same.
 
     Every ordering of a sample is equally likely, so one unordered outcome
     stands for all of its orderings.  Without replacement that is a subset
@@ -283,11 +288,11 @@ def _outcome_chunks(spec: EstimatorSpec) -> Iterator[tuple[np.ndarray, np.ndarra
     else:
         outcomes = _disjoint_subsets(tuple(range(spec.universe)), spec.group_sizes or (n,))
     while True:
-        chunk = itertools.islice(outcomes, ORACLE_CHUNK)
+        chunk = itertools.islice(outcomes, max(1, CHUNK_ELEMENTS // n))
         idx = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.intp).reshape(-1, n)
         if not len(idx):
             return
-        weights = np.ones(len(idx))
+        weights = None
         if spec.replacement:
             # Rows are sorted, so runs[:, j] numbers the copies of idx[:, j]
             # seen so far and each row's product of runs is prod m_j!.  The
@@ -305,11 +310,9 @@ def enumerate_moments(inst: Instance, config: DesignConfig) -> Moments:
     outcome of the design, weighted by its exact probability."""
     spec = estimator_spec(inst, config)
     _check_enumeration_size(spec)
-    sums = [(float(w.sum()), float((w * v).sum())) for v, w in _outcome_chunks(spec)]
-    total = math.fsum(s for s, _ in sums)
-    mean = math.fsum(m for _, m in sums) / total
-    var = math.fsum(float((w * (v - mean) ** 2).sum()) for v, w in _outcome_chunks(spec))
-    return Moments(mean, var / total)
+    chunks = itertools.starmap(_moments, _outcome_chunks(spec))
+    total, mean, m2 = functools.reduce(_merge_moments, chunks)
+    return Moments(mean, m2 / total)
 
 
 def theoretical_moments(inst: Instance, config: DesignConfig) -> Moments:
@@ -476,12 +479,24 @@ def _block_values(
     return estimators.estimates(values[idx], spec.group_sizes)
 
 
+def _moments(v: np.ndarray, w: Optional[np.ndarray] = None) -> tuple[float, float, float]:
+    """(weight, mean, sum of squared deviations) of v, each v[i] weighing 1 or w[i]."""
+    weight = len(v) if w is None else float(w.sum())
+    if not weight:  # every weight underflowed to 0: the chunk adds nothing
+        return 0.0, 0.0, 0.0
+    mean = float(v.mean() if w is None else (w * v).sum() / weight)
+    d2 = (v - mean) ** 2
+    return weight, mean, float((d2 if w is None else w * d2).sum())
+
+
 def _merge_moments(
-    a: tuple[int, float, float], b: tuple[int, float, float]
-) -> tuple[int, float, float]:
-    # Chan et al. pairwise update; merged in fixed block order for determinism.
+    a: tuple[float, float, float], b: tuple[float, float, float]
+) -> tuple[float, float, float]:
+    # Chan et al. pairwise update; merged in fixed order for determinism.
     na, ma, m2a = a
     nb, mb, m2b = b
+    if not (na and nb):  # a side that weighs nothing adds nothing
+        return a if not nb else b
     n = na + nb
     delta = mb - ma
     mean = ma + delta * nb / n
@@ -516,13 +531,9 @@ def simulate_blocks(
     out = []
     for b, size in enumerate(_block_sizes(trials)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(b,)))
-        acc = None
-        for start in range(0, size, step):
-            v = _block_values(spec, values, rng, min(step, size - start), table)
-            m = float(v.mean())
-            chunk = (len(v), m, float(((v - m) ** 2).sum()))
-            acc = chunk if acc is None else _merge_moments(acc, chunk)
-        out.append(acc)
+        rows = (min(step, size - start) for start in range(0, size, step))
+        chunks = (_block_values(spec, values, rng, r, table) for r in rows)
+        out.append(functools.reduce(_merge_moments, map(_moments, chunks)))
     return out
 
 
@@ -530,9 +541,7 @@ def _empirical(blocks: list[tuple[int, float, float]]) -> dict:
     """Merged mean and variance of simulate_blocks accumulators, with the
     standard error of the mean and, from the spread of the per-block
     variances, of the variance (None where too few trials give none)."""
-    count, mean, m2 = blocks[0]
-    for blk in blocks[1:]:
-        count, mean, m2 = _merge_moments((count, mean, m2), blk)
+    count, mean, m2 = functools.reduce(_merge_moments, blocks)
     variance = m2 / (count - 1) if count > 1 else 0.0
     block_vars = [b_m2 / (b_n - 1) for b_n, _, b_m2 in blocks if b_n > 1]
     se_var = None

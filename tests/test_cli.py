@@ -233,6 +233,10 @@ class TestEnumerateCommand:
         ("enumerate", {"subgroup_sizes": [3]}, '{"design": "counts_wr", "n": 1000000000000}', []),
         ("enumerate", POP_COUNTS, '{"design": "counts", "n": 2, "nn": 5}', []),
         ("enumerate", POP_COUNTS, '{"design": "counts_wr"}', []),
+        ("compare", POP5, '{"design": "srs", "n": 2}', ["--tolerance-abs", "inf"]),
+        ("compare", POP5, '{"design": "srs", "n": 2}', ["--tolerance-abs", "nan"]),
+        ("compare", POP5, '{"design": "srs", "n": 2}', ["--tolerance-abs=-1e-10"]),
+        ("verify", POP5, '{"design": "srs", "n": 2}', ["--tolerance-abs", "inf", "--seed", "1"]),
     ],
 )
 def test_bad_input_exits_1_without_traceback(tmp_path, capsys, command, population, design, extra):

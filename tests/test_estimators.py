@@ -132,6 +132,13 @@ class TestHansenHurvitz:
         with pytest.raises(ValueError):
             hansen_hurvitz(POP_PPS, SizeWeights((1, 2)), DrawSequence((0,), True))
 
+    def test_refuses_an_infinite_ratio(self):
+        # 1e308 / (1/7) overflows; estimator_spec refuses the same ratio.
+        pop, w = Population((1e308, 1.0)), SizeWeights((1, 6))
+        with pytest.raises(ValueError, match="every Y_i/Z_i must be finite"):
+            hansen_hurvitz(pop, w, DrawSequence((0,), True))
+        assert hansen_hurvitz(pop, w, DrawSequence((1,), True)) == pytest.approx(7 / 6)
+
 
 class TestHhVariance:
     def test_proportional_is_zero(self):

@@ -8,9 +8,11 @@ import pytest
 
 from finpop import (
     ClassifiedPopulation,
+    CountVector,
     DesignConfig,
     DrawSequence,
     EnumerationLimitError,
+    GroupedSample,
     Instance,
     NetworkPartition,
     Population,
@@ -19,11 +21,15 @@ from finpop import (
     count_moments,
     enumerate_count_distribution,
     enumerate_moments,
+    fpc,
+    multinomial_cov,
     multinomial_pmf,
+    mvhyper_cov,
     mvhyper_pmf,
     random_group_split,
     relative_efficiency,
     run_monte_carlo,
+    srs_mean_variance,
     theoretical_moments,
 )
 from finpop import verify
@@ -31,6 +37,7 @@ from finpop.verify import (
     Moments,
     _alias_indices,
     _alias_table,
+    _empirical,
     _merge_moments,
     _wor_indices,
     estimator_spec,
@@ -193,11 +200,11 @@ ORACLE_CASES = [
 
 
 class TestOracleMatchesOrderedWalk:
-    @pytest.mark.parametrize("chunk", [7, verify.ORACLE_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, verify.CHUNK_ELEMENTS])
     @pytest.mark.parametrize("inst, cfg", ORACLE_CASES)
     def test_matches_reference(self, monkeypatch, chunk, inst, cfg):
-        # A chunk of 7 outcomes makes every case span several chunks.
-        monkeypatch.setattr(verify, "ORACLE_CHUNK", chunk)
+        # CHUNK_ELEMENTS = 1 makes every outcome a chunk of its own.
+        monkeypatch.setattr(verify, "CHUNK_ELEMENTS", chunk)
         got, ref = enumerate_moments(inst, cfg), ordered_reference(inst, cfg)
         assert Tolerances().close(got.mean, ref.mean)
         assert Tolerances().close(got.variance, ref.variance)
@@ -618,6 +625,99 @@ class TestChunkedBlocks:
         assert peak < 2 * 2**20
 
 
+def hand_merge(a, b):
+    """The Chan et al. update as the engines once wrote it out."""
+    na, ma, m2a = a
+    nb, mb, m2b = b
+    n = na + nb
+    delta = mb - ma
+    return n, ma + delta * nb / n, m2a + m2b + delta * delta * na * nb / n
+
+
+def hand_folded_blocks(inst, cfg, trials, seed):
+    """simulate_blocks with its chunks folded by a hand-written loop."""
+    spec = estimator_spec(inst, cfg)
+    values = np.asarray(spec.values, dtype=float)
+    table = None if spec.weight_sizes is None else _alias_table(spec.weight_sizes)
+    sorts_keys = not spec.replacement and verify._sorts_keys(spec.universe, spec.n)
+    step = max(1, verify.CHUNK_ELEMENTS // (spec.universe if sorts_keys else spec.n))
+    out = []
+    for b, size in enumerate(verify._block_sizes(trials)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+        acc = None
+        for start in range(0, size, step):
+            v = verify._block_values(spec, values, rng, min(step, size - start), table)
+            m = float(v.mean())
+            chunk = (len(v), m, float(((v - m) ** 2).sum()))
+            acc = chunk if acc is None else hand_merge(acc, chunk)
+        out.append(acc)
+    return out
+
+
+def hand_folded_empirical(blocks):
+    """_empirical with the blocks merged and their variances spread by hand."""
+    count, mean, m2 = blocks[0]
+    for blk in blocks[1:]:
+        count, mean, m2 = hand_merge((count, mean, m2), blk)
+    variance = m2 / (count - 1) if count > 1 else 0.0
+    block_vars = [b_m2 / (b_n - 1) for b_n, _, b_m2 in blocks if b_n > 1]
+    se_var = None
+    if len(block_vars) > 1:
+        bv_mean = math.fsum(block_vars) / len(block_vars)
+        bv_spread = math.fsum((v - bv_mean) ** 2 for v in block_vars) / (len(block_vars) - 1)
+        se_var = math.sqrt(bv_spread / len(block_vars))
+    return {
+        "mean": mean,
+        "variance": variance,
+        "trials": count,
+        "standard_error_mean": math.sqrt(variance / count) if count > 1 else None,
+        "standard_error_variance": se_var,
+    }
+
+
+class TestOneMomentReduction:
+    # The oracle, the Monte Carlo chunks and the block merge all reduce
+    # through _moments and _merge_moments.
+    @pytest.mark.parametrize("chunk", [64, verify.CHUNK_ELEMENTS])
+    @pytest.mark.parametrize("trials", [150, 20_150])
+    @pytest.mark.parametrize(
+        "inst, cfg",
+        [
+            (FORTY, DesignConfig("srs_wr", n=4)),
+            (SEVEN, DesignConfig("srs", n=3)),  # key sort: N <= 4n
+            (SEVEN, DesignConfig("srs", group_sizes=(2, 2, 2))),
+        ],
+    )
+    def test_monte_carlo_matches_hand_folds_bit_for_bit(self, monkeypatch, chunk, trials, inst, cfg):
+        monkeypatch.setattr(verify, "CHUNK_ELEMENTS", chunk)
+        blocks = simulate_blocks(inst, cfg, trials, 17)
+        assert blocks == hand_folded_blocks(inst, cfg, trials, 17)
+        assert _empirical(blocks) == hand_folded_empirical(blocks)
+
+    @pytest.mark.parametrize("inst, cfg", ORACLE_CASES)
+    def test_oracle_walks_the_outcomes_once(self, monkeypatch, inst, cfg):
+        walks = []
+        outcome_chunks = verify._outcome_chunks
+
+        def counted(spec):
+            walks.append(spec)
+            yield from outcome_chunks(spec)
+
+        monkeypatch.setattr(verify, "_outcome_chunks", counted)
+        enumerate_moments(inst, cfg)
+        assert len(walks) == 1
+
+    def test_chunk_whose_weights_underflow_adds_nothing(self, monkeypatch):
+        # Every outcome of the three small units weighs about 1e-600, which is
+        # 0.0; with one outcome per chunk, whole chunks weigh nothing.
+        monkeypatch.setattr(verify, "CHUNK_ELEMENTS", 2)
+        inst = Instance(
+            population=Population((1e-300, 1e-300, 1e-300, 1.0)),
+            weights=SizeWeights((1, 1, 1, 10**300)),
+        )
+        assert enumerate_moments(inst, DesignConfig("pps_wr", n=2)) == Moments(1.0, 0.0)
+
+
 class TestRelativeEfficiency:
     def test_srs_worked_example(self):
         rep = relative_efficiency(POP5_INST, DesignConfig("srs", n=2))
@@ -699,11 +799,31 @@ class TestTolerances:
         lambda: DesignConfig("srs", group_sizes=(2, 2.5)),
         lambda: DesignConfig.from_mapping({"design": "srs", "n": "2"}),
         lambda: random_group_split(DrawSequence((0, 1, 2, 3), False), (2.0, 2)),
+        # These once truncated a float with int() or took a bool for 1 or 0.
+        pytest.param(lambda: DrawSequence((0.7, 1.2), False), id="draw-float"),
+        pytest.param(lambda: DrawSequence((True, False), False), id="draw-bool"),
+        pytest.param(lambda: GroupedSample(((0, 1.5), (2,))), id="groups-float"),
+        pytest.param(lambda: CountVector((2.9, 1.0)), id="count-vector"),
+        pytest.param(lambda: mvhyper_pmf((1.9, 0.2), ClassifiedPopulation((2, 3))), id="pmf"),
+        pytest.param(lambda: NetworkPartition((0, 0.0, 1), (2, 1), (1.0, 2.0)), id="assignment"),
+        pytest.param(lambda: NetworkPartition((0, 0, 1), (2.0, 1), (1.0, 2.0)), id="net-sizes"),
+        pytest.param(lambda: fpc(2.5, 5), id="fpc-n"),
+        pytest.param(lambda: fpc(2, True), id="fpc-N"),
+        pytest.param(lambda: multinomial_cov((0.5, 0.5), True), id="multinomial-cov"),
+        pytest.param(lambda: mvhyper_cov(ClassifiedPopulation((2, 3)), 2.0), id="mvhyper-cov"),
+        pytest.param(lambda: srs_mean_variance(Population((1, 2, 3)), 2.5, True), id="variance"),
     ],
 )
 def test_integer_fields_reject_non_integers(build):
     with pytest.raises(ValueError, match="integer"):
         build()
+
+
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "se_multiplier"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1e-10])
+def test_tolerances_must_be_finite_and_nonnegative(field, value):
+    with pytest.raises(ValueError, match=field):
+        Tolerances(**{field: value})
 
 
 @pytest.mark.parametrize(
