@@ -31,23 +31,26 @@ def estimates(drawn: np.ndarray, group_sizes: Optional[Sequence[int]] = None) ->
         means = drawn @ np.ones(drawn.shape[1])
         means /= drawn.shape[1]
         return means
+    # The pair sum is the form d' L d, L the Laplacian of the pair weights
+    # n_a n_b / (n_a + n_b) less row and column 0, d_a = mean_a - mean_0 on rows
+    # centred on their first value: exact for close values, and never negative.
     sizes = np.asarray(group_sizes)
-    members = np.repeat(np.eye(len(sizes)), sizes, axis=0)  # (n, k) 0/1 group membership
-    group_means = drawn @ members
-    group_means /= sizes
     k = len(sizes)
-    acc = np.zeros(len(drawn))
-    for a in range(k):
-        for b in range(a + 1, k):
-            acc += (group_means[:, a] - group_means[:, b]) ** 2 / (
-                1.0 / sizes[a] + 1.0 / sizes[b]
-            )
-    return acc / (k * (k - 1) // 2)
+    pair = np.multiply.outer(sizes, sizes) / np.add.outer(sizes, sizes)
+    laplacian = (np.diag(pair.sum(axis=1)) - pair)[1:, 1:]
+    members = np.repeat(np.eye(k) / sizes, sizes, axis=0)  # (n, k): 1/n_a in group a's rows
+    diffs = (drawn - drawn[:, :1]) @ (members[:, 1:] - members[:, :1])
+    return ((diffs @ laplacian) * diffs) @ np.ones(k - 1) / (k * (k - 1) // 2)
 
 
 def _estimate(drawn: list[float], group_sizes: Optional[Sequence[int]] = None) -> float:
-    """estimates() on a single sample, passed as one (1, n) row."""
-    return float(estimates(np.array([drawn], dtype=float), group_sizes)[0])
+    """estimates() on a single sample, passed as one (1, n) row.  An estimate
+    that overflows the float range is refused, not returned as inf or NaN."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return float(estimates(np.array([drawn], dtype=float), group_sizes)[0])
+    except FloatingPointError as exc:
+        raise ValueError(f"estimate out of the float range: {exc}") from exc
 
 
 def _in_range(indices: Sequence[int], size: int) -> Sequence[int]:

@@ -76,7 +76,10 @@ class Tolerances:
 @dataclass(frozen=True)
 class DesignConfig:
     """Which design to run and at what sizes.  group_sizes switches an SRS
-    WOR draw to the random-group population-variance estimator."""
+    WOR draw to the random-group population-variance estimator.  A field the
+    design does not read is refused: group_sizes is for srs only, and n1 for
+    acs and acs_wr only, which take their initial sample size as n or n1 but
+    not both."""
 
     design: str
     n: Optional[int] = None
@@ -90,7 +93,11 @@ class DesignConfig:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, as_index(value, name))
+        if self.n1 is not None:
+            _require(self.design in ("acs", "acs_wr"), f"design {self.design!r} takes no n1")
+            _require(self.n is None, "give acs its initial sample size as n or n1, not both")
         if self.group_sizes is not None:
+            _require(self.design == "srs", f"design {self.design!r} takes no group_sizes")
             sizes = as_indices(self.group_sizes, "group size")
             if len(sizes) < 2 or any(s < 1 for s in sizes):
                 raise ValueError("group_sizes must be >= 2 positive integers")

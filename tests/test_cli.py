@@ -237,6 +237,13 @@ class TestEnumerateCommand:
         ("compare", POP5, '{"design": "srs", "n": 2}', ["--tolerance-abs", "nan"]),
         ("compare", POP5, '{"design": "srs", "n": 2}', ["--tolerance-abs=-1e-10"]),
         ("verify", POP5, '{"design": "srs", "n": 2}', ["--tolerance-abs", "inf", "--seed", "1"]),
+        # A design field the design does not read is refused, not ignored.
+        ("enumerate", POP_PPS, '{"design": "pps_wor", "n": 2, "group_sizes": [1, 1]}', []),
+        ("enumerate", POP5, '{"design": "srs_wr", "n": 2, "group_sizes": [1, 1]}', []),
+        ("verify", POP5, '{"design": "srs", "n": 2, "n1": 2}', ["--seed", "1"]),
+        ("enumerate", POP_PPS, '{"design": "pps_wr", "n": 2, "n1": 2}', []),
+        ("verify", POP_ACS, '{"design": "acs", "n": 3, "n1": 2}', ["--seed", "1"]),
+        ("compare", POP_ACS, '{"design": "acs_wr", "n": 2, "n1": 2}', []),
     ],
 )
 def test_bad_input_exits_1_without_traceback(tmp_path, capsys, command, population, design, extra):
@@ -247,6 +254,21 @@ def test_bad_input_exits_1_without_traceback(tmp_path, capsys, command, populati
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert not re.fullmatch(r"error: '\w*'\n", err), "a bare KeyError names no problem"
+
+
+def test_random_groups_at_a_large_offset_match_the_closed_form(tmp_path, capsys):
+    # Values 1e8 from 0 and 0.1 apart: a group mean taken before centring
+    # is off by about 1e-8, enough to move the oracle's mean past the oracle
+    # tolerance of S^2.
+    values = [100000000.0, 100000000.3, 99999999.9, 100000000.7, 100000000.2,
+              99999999.6, 100000000.4, 100000000.1, 99999999.5]
+    pop = write(tmp_path, "pop.json", {"values": values})
+    code = main(["verify", "--population", pop,
+                 "--design", '{"design": "srs", "group_sizes": [2, 2, 2]}',
+                 "--trials", "2000", "--seed", "1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["checks"]["enumerated_mean_matches"] is True
 
 
 def test_oracle_refused_on_a_huge_ordered_count(tmp_path, capsys):

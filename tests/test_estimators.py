@@ -1,6 +1,8 @@
 import itertools
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from finpop import (
     srs_mean_variance,
 )
 from finpop.designs import AcsSample, DrawSequence, GroupedSample
+from finpop.estimators import estimates
 
 POP5 = Population((1, 2, 3, 4, 5))
 POP_PPS = Population((2, 2, 3))
@@ -138,6 +141,14 @@ class TestHansenHurvitz:
         with pytest.raises(ValueError, match="every Y_i/Z_i must be finite"):
             hansen_hurvitz(pop, w, DrawSequence((0,), True))
         assert hansen_hurvitz(pop, w, DrawSequence((1,), True)) == pytest.approx(7 / 6)
+
+    def test_refuses_an_overflowing_estimate(self):
+        # Each ratio 1.6e308 is finite, but their sum is not.
+        pop, w = Population((8e307, 8e307)), SizeWeights((1, 1))
+        with pytest.raises(ValueError, match="float range"):
+            hansen_hurvitz(pop, w, DrawSequence((0, 1), True))
+        with pytest.raises(ValueError, match="float range"):
+            sample_mean(Population((1e308, 1e308)), DrawSequence((0, 1), False))
 
 
 class TestHhVariance:
@@ -267,6 +278,45 @@ class TestRandomGroupVariance:
         g = random_group_split(DrawSequence((0, 1, 2), False), (1, 2))
         with pytest.raises(ValueError):
             random_group_variance_equal_sizes(pop, g)
+
+
+def exact_pair_sum(values, sizes):
+    """The random-group estimator in exact rational arithmetic."""
+    means, start = [], 0
+    for s in sizes:
+        means.append(sum(map(Fraction, values[start : start + s])) / s)
+        start += s
+    terms = [
+        (means[a] - means[b]) ** 2 / (Fraction(1, sizes[a]) + Fraction(1, sizes[b]))
+        for a, b in itertools.combinations(range(len(sizes)), 2)
+    ]
+    return sum(terms) / len(terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    offset=st.sampled_from([0.0, 1e8, -1e8]) | st.floats(-1e8, 1e8),
+    spread=st.sampled_from([1e-3, 1.0]) | st.floats(1e-3, 1e3),
+    sizes=st.lists(st.integers(1, 4), min_size=2, max_size=5),
+    data=st.data(),
+)
+def test_group_estimates_match_exact_pair_sum(offset, spread, sizes, data):
+    # Integer units give ties, equal group means and constant rows.
+    unit = st.integers(-3, 3).map(float) | st.floats(-1, 1)
+    units = data.draw(st.lists(unit, min_size=sum(sizes), max_size=sum(sizes)))
+    values = [offset + spread * u for u in units]
+    got = float(estimates(np.array([values]), sizes)[0])
+    exact = exact_pair_sum(values, sizes)
+    assert got >= 0
+    # A group mean carries rounding of about eps * width, where width is the
+    # range of the values, and moves the sum by about eps * width *
+    # sqrt(sum).  So the relative error stays within 1e-12 except where the
+    # group means are nearly tied, and the bound allows for that, and for
+    # squares that underflow below the smallest normal float.
+    width = max(values) - min(values)
+    tol = 1e-12 * (float(exact) + width * math.sqrt(exact)) + (1e-12 * width) ** 2
+    tol += np.finfo(float).tiny
+    assert abs(Fraction(got) - exact) <= tol
 
 
 class TestRgPairExpectation:

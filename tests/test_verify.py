@@ -32,7 +32,7 @@ from finpop import (
     srs_mean_variance,
     theoretical_moments,
 )
-from finpop import verify
+from finpop import estimators, verify
 from finpop.verify import (
     Moments,
     _alias_indices,
@@ -69,6 +69,11 @@ class TestDesignConfig:
     def test_bad_group_sizes(self):
         with pytest.raises(ValueError):
             DesignConfig("srs", group_sizes=(3,))
+
+    def test_acs_reads_n_or_n1(self):
+        inst = acs_instance()
+        by_n = enumerate_moments(inst, DesignConfig("acs", n=2))
+        assert by_n == enumerate_moments(inst, DesignConfig("acs", n1=2))
 
 
 class TestInstance:
@@ -216,6 +221,27 @@ class TestOracleMatchesOrderedWalk:
             enumerate_moments(inst, DesignConfig("srs", n=6))
         rep = relative_efficiency(inst, DesignConfig("srs", n=6), trials=2000, seed=3)
         assert rep.method == "monte_carlo"
+
+
+class TestRandomGroupEstimator:
+    def test_forty_singleton_groups_match_the_pair_loop(self):
+        pop = Population(tuple(1e8 + 3.0 * math.sin(i) for i in range(40)))
+        spec = estimator_spec(Instance(population=pop), DesignConfig("srs", group_sizes=(1,) * 40))
+        idx = np.array([np.random.default_rng(s).permutation(40) for s in range(20)])
+        got = estimators.estimates(np.asarray(spec.values)[idx], spec.group_sizes)
+        for row, outcome in zip(got, idx):
+            assert math.isclose(row, _reference_value(spec, outcome), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("sizes", [(2, 2, 2), (1, 2, 3), (3, 1), (1, 1, 1, 1), (2, 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_oracle_matches_closed_form_at_a_large_offset(self, sizes, seed):
+        # Values 1e8 from 0 and about 1 apart: centring keeps the oracle's
+        # mean within the oracle tolerance of S^2.
+        values = 1e8 + np.random.default_rng(seed).standard_normal(8)
+        inst = Instance(population=Population(tuple(values.tolist())))
+        cfg = DesignConfig("srs", group_sizes=sizes)
+        assert Tolerances().close(enumerate_moments(inst, cfg).mean,
+                                  theoretical_moments(inst, cfg).mean)
 
 
 class TestCountDistribution:
