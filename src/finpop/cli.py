@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .distributions import multinomial_pmf, mvhyper_pmf
-from .population import as_index
 from .verify import (
     DesignConfig,
     EnumerationLimitError,
@@ -120,8 +119,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             raise CliError(f"unknown design config keys: {sorted(extra)}")
         if "n" not in design:
             raise CliError(f"design {name!r} requires 'n'")
-        n = as_index(design["n"], "n")
-        replacement = name == "counts_wr"
+        n, replacement = design["n"], name == "counts_wr"
         dist = enumerate_count_distribution(inst.classified, n, replacement)
         mean, cov = count_moments(dist)
         if replacement:

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .population import NetworkPartition, Population, SizeWeights, as_indices
+from .population import NetworkPartition, Population, SizeWeights, as_index, as_indices, sample_size
 
 
 @dataclass(frozen=True)
@@ -80,15 +80,11 @@ def srs(N: int, n: int, replacement: bool, rng: np.random.Generator) -> DrawSequ
     equally likely.  The pool is kept sparse, as the positions that have
     moved, so a draw costs O(n) time and memory whatever N is.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = as_index(N, "N")
+    n = sample_size(n, N, replacement)
     if replacement:
         indices = tuple(int(rng.integers(N)) for _ in range(n))
         return DrawSequence(indices, True)
-    if n > N:
-        raise ValueError(f"cannot draw {n} without replacement from {N} units")
     moved: dict[int, int] = {}  # pool position -> unit, where it is not the identity
     out = []
     for k in range(N - 1, N - 1 - n, -1):

@@ -11,7 +11,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .designs import srs
-from .population import ClassifiedPopulation, SizeWeights, as_index, as_indices
+from .population import ClassifiedPopulation, SizeWeights, as_index, as_indices, sample_size
 
 PROB_SUM_TOL = 1e-12
 
@@ -54,9 +54,8 @@ def fpc(n: int, N: int) -> float:
     with-replacement (co)variance.  Defined as 1 for N = 1 (the single
     census draw, where the two schemes coincide).
     """
-    n, N = as_index(n, "n"), as_index(N, "N")
-    if not 1 <= n <= N:
-        raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
+    N = as_index(N, "N")
+    n = sample_size(n, N, False)
     if N == 1:
         return 1.0
     return 1.0 - (n - 1) / (N - 1)
@@ -76,8 +75,8 @@ def mvhyper_pmf(c: Counts, cp: ClassifiedPopulation) -> float:
     if len(counts) != cp.num_groups:
         raise ValueError("count vector length does not match number of subgroups")
     n = sum(counts)
-    if n > cp.size:
-        raise ValueError(f"total count {n} exceeds population size {cp.size}")
+    if n:  # the empty count vector, of no draws, has probability 1
+        sample_size(n, cp.size, False, "total count")
     if any(a > nk for a, nk in zip(counts, cp.subgroup_sizes)):
         return 0.0
     log_p = -_log_choose(cp.size, n)
@@ -109,23 +108,19 @@ def multinomial_pmf(c: Counts, probs: Sequence[float]) -> float:
 
 def multinomial_cov(probs: Sequence[float], n: int) -> np.ndarray:
     """Covariance matrix of multinomial counts: n (diag(p) - p p^T)."""
-    n = as_index(n, "n")
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("probability vector must be one-dimensional and nonempty")
     if np.any(p < 0) or abs(math.fsum(p.tolist()) - 1.0) > PROB_SUM_TOL:
         raise ValueError("invalid probability vector")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = sample_size(n, p.size, True)
     return n * (np.diag(p) - np.outer(p, p))
 
 
 def mvhyper_cov(cp: ClassifiedPopulation, n: int) -> np.ndarray:
     """Covariance matrix of without-replacement counts: the multinomial
     covariance at proportions N_k/N, scaled entrywise by fpc(n, N)."""
-    n = as_index(n, "n")
-    if not 1 <= n <= cp.size:
-        raise ValueError(f"need 1 <= n <= N, got n={n}, N={cp.size}")
+    n = sample_size(n, cp.size, False)
     return multinomial_cov(cp.proportions, n) * fpc(n, cp.size)
 
 

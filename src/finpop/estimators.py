@@ -17,7 +17,7 @@ import numpy as np
 
 from .designs import AcsSample, DrawSequence, GroupedSample
 from .distributions import fpc
-from .population import NetworkPartition, Population, SizeWeights, as_index
+from .population import NetworkPartition, Population, SizeWeights, sample_size
 
 
 def estimates(drawn: np.ndarray, group_sizes: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -64,11 +64,7 @@ def _design_variance(sigma2: float, n: int, universe: int, replacement: bool, na
     """Variance of the mean of n draws from a universe whose single-draw
     variance is sigma2: sigma2 / n, times fpc(n, universe) without
     replacement."""
-    n = as_index(n, name)
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1")
-    if not replacement and n > universe:
-        raise ValueError(f"cannot draw {n} without replacement from {universe} units")
+    n = sample_size(n, universe, replacement, name)
     v = sigma2 / n
     return v if replacement else v * fpc(n, universe)
 
@@ -151,8 +147,7 @@ def random_group_variance_estimate(pop: Population, g: GroupedSample) -> float:
 def rg_pair_expectation(pop: Population, n_k: int, n_l: int) -> float:
     """Closed-form expectation of (mean_k - mean_l)^2 for two random groups of
     sizes n_k and n_l drawn WOR from the population: S^2 (1/n_k + 1/n_l)."""
-    if n_k < 1 or n_l < 1:
-        raise ValueError("group sizes must be >= 1")
-    if n_k + n_l > pop.size:
-        raise ValueError("group sizes exceed population size")
+    n_k = sample_size(n_k, pop.size, False, "n_k")
+    n_l = sample_size(n_l, pop.size, False, "n_l")
+    sample_size(n_k + n_l, pop.size, False, "n_k + n_l")
     return pop.s_squared * (1.0 / n_k + 1.0 / n_l)

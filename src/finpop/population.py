@@ -24,6 +24,23 @@ def as_index(value: object, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def sample_size(n: object, universe: int, replacement: bool, what: str = "n") -> int:
+    """n as the size of a sample of n draws from a universe of `universe`
+    units: an exact int (as_index), at least 1, and at most universe without
+    replacement, the n for which fpc(n, universe) is defined.  Every design
+    reduces to such draws, and this is the package's one check of them."""
+    n = as_index(n, what)
+    if n < 1:
+        raise ValueError(f"{what} must be >= 1, got {n}")
+    if universe < 1:
+        raise ValueError(f"cannot draw {what}={n} from an empty universe of {universe} units")
+    if not replacement and n > universe:
+        raise ValueError(
+            f"{what}={n} exceeds the {universe} units a draw without replacement can take"
+        )
+    return n
+
+
 def as_indices(values: Iterable, what: str) -> tuple[int, ...]:
     """as_index over every item, at C speed."""
     try:

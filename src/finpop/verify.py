@@ -27,6 +27,7 @@ from .population import (
     compute_networks,
     extend_pps,
     flatten_networks,
+    sample_size,
 )
 from .distributions import fpc
 
@@ -136,6 +137,9 @@ class Instance:
         _require(
             isinstance(m, Mapping), f"population must be a JSON object, got {type(m).__name__}"
         )
+        extra = set(m) - {"values", "sizes", "adjacency", "threshold", "subgroup_sizes"}
+        if extra:
+            raise ValueError(f"unknown population keys: {sorted(extra)}")
         pop = Population(_list_field(m, "values")) if "values" in m else None
         weights = SizeWeights(_list_field(m, "sizes")) if m.get("sizes") is not None else None
         classified = (
@@ -156,6 +160,8 @@ class Instance:
                 f"threshold must be a number, got {threshold!r}",
             )
             partition = compute_networks(pop, Adjacency(rows), float(threshold))
+        elif m.get("threshold") is not None:
+            raise ValueError("threshold is read only with adjacency")
         return cls(pop, weights, partition, classified)
 
 
@@ -188,65 +194,55 @@ def _require(condition: bool, message: str) -> None:
 
 
 def estimator_spec(inst: Instance, config: DesignConfig) -> EstimatorSpec:
-    """Resolve a design config against an instance."""
-    design = config.design
-    pop = inst.population
-    _require(pop is not None, f"design {design!r} requires population values")
+    """Resolve a design config against an instance.
 
-    if design in ("srs", "srs_wr") and config.group_sizes is None:
-        _require(config.n is not None and config.n >= 1, "srs requires n >= 1")
-        n = config.n
-        replacement = design == "srs_wr"
-        _require(replacement or n <= pop.size, f"n={n} exceeds N={pop.size} for WOR")
+    Every design is n draws from one universe (N units, or the t_M extended
+    positions for pps_wor), so the structure it needs and its sample size are
+    checked first, before any transformed population is built."""
+    design, groups = config.design, config.group_sizes
+    pop, w = inst.population, inst.weights
+    _require(pop is not None, f"design {design!r} requires population values")
+    if design.startswith("pps"):
+        _require(w is not None, f"design {design!r} requires size weights")
+    if design.startswith("acs"):
+        _require(inst.partition is not None, f"design {design!r} requires a network partition")
+    replacement = design.endswith("_wr")
+    universe = w.total if design == "pps_wor" else pop.size
+    if groups is not None:
+        _require(config.n is None or config.n == sum(groups), "n must equal sum(group_sizes)")
+        field, size = "sum(group_sizes)", sum(groups)
+    else:
+        field = "n1" if design.startswith("acs") and config.n is None else "n"
+        size = getattr(config, field)
+        _require(size is not None, f"design {design!r} requires {field}")
+    n = sample_size(size, universe, replacement, field)
+
+    if groups is not None:
         return EstimatorSpec(
-            "sample_mean", "mean", pop.size, n, replacement, pop.values, None, None,
+            "rg_variance", "population_variance", universe, n, False, pop.values,
+            None, groups, Moments(pop.s_squared, None),
+        )
+    if design.startswith("srs"):
+        return EstimatorSpec(
+            "sample_mean", "mean", universe, n, replacement, pop.values, None, None,
             Moments(pop.mean, estimators.srs_mean_variance(pop, n, replacement)),
         )
-
-    if design == "srs" and config.group_sizes is not None:
-        sizes = config.group_sizes
-        n = sum(sizes)
-        _require(config.n is None or config.n == n, "n must equal sum(group_sizes)")
-        _require(n <= pop.size, f"group sizes sum {n} exceeds N={pop.size}")
-        _require(pop.size >= 2, "population variance needs N >= 2")
+    if design.startswith("acs"):
+        flat = flatten_networks(pop, inst.partition)
         return EstimatorSpec(
-            "rg_variance", "population_variance", pop.size, n, False, pop.values,
-            None, sizes, Moments(pop.s_squared, None),
+            "acs_mean", "mean", universe, n, replacement, flat.values, None, None,
+            Moments(pop.mean, estimators.acs_variance(pop, inst.partition, n, replacement)),
         )
-
-    if design in ("pps_wr", "pps_wor"):
-        w = inst.weights
-        _require(w is not None, f"design {design!r} requires size weights")
-        _require(config.n is not None and config.n >= 1, "pps requires n >= 1")
-        n = config.n
-        if design == "pps_wr":
-            ratios = tuple(y / z for y, z in zip(pop.values, w.probabilities))
-            _require(all(map(math.isfinite, ratios)), "every Y_i/Z_i must be finite")
-            return EstimatorSpec(
-                "hh_total", "total", pop.size, n, True, ratios, w.sizes, None,
-                Moments(pop.total, estimators.hh_variance(pop, w, n, replacement=True)),
-            )
-        _require(n <= w.total, f"n={n} exceeds extended size {w.total} for WOR")
-        extended = extend_pps(pop, w)
-        return EstimatorSpec(
-            "hh_total", "total", w.total, n, False, extended.values, None, None,
-            Moments(pop.total, estimators.hh_variance(pop, w, n, replacement=False)),
-        )
-
-    if design in ("acs", "acs_wr"):
-        partition = inst.partition
-        _require(partition is not None, f"design {design!r} requires a network partition")
-        n_1 = config.n1 if config.n1 is not None else config.n
-        _require(n_1 is not None and n_1 >= 1, "acs requires n1 >= 1")
-        replacement = design == "acs_wr"
-        _require(replacement or n_1 <= pop.size, f"n1={n_1} exceeds N={pop.size} for WOR")
-        flat = flatten_networks(pop, partition)
-        return EstimatorSpec(
-            "acs_mean", "mean", pop.size, n_1, replacement, flat.values, None, None,
-            Moments(pop.mean, estimators.acs_variance(pop, partition, n_1, replacement)),
-        )
-
-    raise ValueError(f"unsupported design {design!r}")
+    if replacement:
+        values = tuple(y / z for y, z in zip(pop.values, w.probabilities))
+        _require(all(map(math.isfinite, values)), "every Y_i/Z_i must be finite")
+    else:
+        values = extend_pps(pop, w).values
+    return EstimatorSpec(
+        "hh_total", "total", universe, n, replacement, values,
+        w.sizes if replacement else None, None,
+        Moments(pop.total, estimators.hh_variance(pop, w, n, replacement)),
+    )
 
 
 def _check_enumeration_size(spec: EstimatorSpec) -> None:
@@ -340,10 +336,7 @@ def count_distributions_upto(
     per-draw class probabilities, so the result follows the ordered sampling
     process directly rather than any closed-form pmf.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not replacement and n > cp.size:
-        raise ValueError(f"cannot draw {n} without replacement from {cp.size} units")
+    n = sample_size(n, cp.size, replacement)
     # The work is the count states visited over all n draws, at least one per
     # draw; checked per draw, and up front so that a huge n fails at once.
     if n > ENUMERATION_LIMIT:
@@ -712,8 +705,6 @@ def relative_efficiency(
     ratio against the predicted finite population correction."""
     if config.group_sizes is not None:
         raise ValueError("random-group configs have no WR/WOR pairing")
-    if config.design not in _PAIRS:
-        raise ValueError(f"design {config.design!r} has no WR/WOR pairing")
     wor_name, wr_name = _PAIRS[config.design]
     wor_cfg = DesignConfig(wor_name, n=config.n, n1=config.n1)
     wr_cfg = DesignConfig(wr_name, n=config.n, n1=config.n1)

@@ -244,6 +244,10 @@ class TestEnumerateCommand:
         ("enumerate", POP_PPS, '{"design": "pps_wr", "n": 2, "n1": 2}', []),
         ("verify", POP_ACS, '{"design": "acs", "n": 3, "n1": 2}', ["--seed", "1"]),
         ("compare", POP_ACS, '{"design": "acs_wr", "n": 2, "n1": 2}', []),
+        # A population key no design reads is refused, not ignored.
+        ("verify", {"values": [1, 2, 3, 4], "sizez": [1, 2, 3, 4], "comment": "x"},
+         '{"design": "srs", "n": 2}', ["--seed", "1"]),
+        ("enumerate", {"values": [1, 2, 3], "threshold": 1.0}, '{"design": "srs", "n": 2}', []),
     ],
 )
 def test_bad_input_exits_1_without_traceback(tmp_path, capsys, command, population, design, extra):

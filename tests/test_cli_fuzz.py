@@ -53,6 +53,8 @@ def populations(draw):
         pop["threshold"] = draw(mostly(st.floats(-5, 5)))
     if draw(st.booleans()):
         pop["subgroup_sizes"] = draw(counts)
+    if draw(mostly(st.just(False), st.just(True))):
+        pop[draw(st.sampled_from(["sizez", "comment", "Values", ""]))] = draw(junk)
     return pop
 
 
