@@ -6,6 +6,7 @@ population), adaptive cluster sampling, and random-group splitting."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +35,15 @@ class DrawSequence:
             raise ValueError("without-replacement draw sequence has repeated indices")
         object.__setattr__(self, "indices", indices)
 
+    @classmethod
+    def _unchecked(cls, indices: tuple[int, ...], replacement: bool) -> "DrawSequence":
+        """A draw sequence built by finpop's own samplers, which always pass
+        __post_init__'s checks (the tests rebuild every one through them)."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "indices", indices)
+        object.__setattr__(seq, "replacement", replacement)
+        return seq
+
     @property
     def n(self) -> int:
         return len(self.indices)
@@ -53,6 +63,13 @@ class GroupedSample:
         if len(set(flat)) != len(flat):
             raise ValueError("groups must be disjoint")
         object.__setattr__(self, "groups", groups)
+
+    @classmethod
+    def _unchecked(cls, groups: tuple[tuple[int, ...], ...]) -> "GroupedSample":
+        """Groups cut by random_group_split from a checked draw sequence."""
+        grouped = object.__new__(cls)
+        object.__setattr__(grouped, "groups", groups)
+        return grouped
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -81,25 +98,29 @@ def srs(N: int, n: int, replacement: bool, rng: np.random.Generator) -> DrawSequ
     moved, so a draw costs O(n) time and memory whatever N is.
     """
     N = as_index(N, "N")
-    n = sample_size(n, N, replacement)
+    return _srs(N, sample_size(n, N, replacement), replacement, rng)
+
+
+def _srs(N: int, n: int, replacement: bool, rng: np.random.Generator) -> DrawSequence:
+    """srs on an N and n already checked by sample_size."""
+    integers = rng.integers
     if replacement:
-        indices = tuple(int(rng.integers(N)) for _ in range(n))
-        return DrawSequence(indices, True)
+        return DrawSequence._unchecked(tuple(int(integers(N)) for _ in range(n)), True)
     moved: dict[int, int] = {}  # pool position -> unit, where it is not the identity
     out = []
     for k in range(N - 1, N - 1 - n, -1):
-        j = int(rng.integers(k + 1))
+        j = int(integers(k + 1))
         out.append(moved.get(j, j))
         moved[j] = moved.get(k, k)
-    return DrawSequence(tuple(out), False)
+    return DrawSequence._unchecked(tuple(out), False)
 
 
 def pps_wr(w: SizeWeights, n: int, rng: np.random.Generator) -> DrawSequence:
     """PPS with replacement: SRS with replacement of n extended-population
     positions, each mapped to the unit owning it, so every draw selects unit
     i with probability sizes[i]/total."""
-    positions = srs(w.total, n, True, rng)
-    return DrawSequence(w.units_of(positions.indices), True)
+    positions = _srs(w.total, sample_size(n, w.total, True), True, rng)
+    return DrawSequence._unchecked(w.units_of(positions.indices), True)
 
 
 def pps_wor_extended(
@@ -109,7 +130,7 @@ def pps_wor_extended(
     sampling WOR of n positions out of the total(w) extended positions."""
     if w.num_units != pop.size:
         raise ValueError("size weights length does not match population size")
-    return srs(w.total, n, False, rng)
+    return _srs(w.total, sample_size(n, w.total, False), False, rng)
 
 
 def acs(
@@ -120,13 +141,18 @@ def acs(
     rng: np.random.Generator,
 ) -> AcsSample:
     """Adaptive cluster sampling: SRS initial draws, then the full network of
-    every initially selected unit enters the final sample."""
+    every initially selected unit enters the final sample.  Only the touched
+    networks are read, through the partition's members index, so once that
+    is built the cost does not grow with N."""
     if partition.num_units != pop.size:
         raise ValueError("partition size does not match population size")
-    initial = srs(pop.size, n_1, replacement, rng)
+    initial = _srs(pop.size, sample_size(n_1, pop.size, replacement, "n_1"), replacement, rng)
     nets = {partition.assignment[i] for i in initial.indices}
-    final = frozenset(i for i, a in enumerate(partition.assignment) if a in nets)
-    return AcsSample(initial, final)
+    order, starts = partition._members_index
+    # Inserted in increasing order, so the set also iterates as a scan of
+    # the units would have built it.
+    final = sorted(chain.from_iterable(order[starts[a] : starts[a + 1]] for a in nets))
+    return AcsSample(initial, frozenset(final))
 
 
 def random_group_split(seq: DrawSequence, sizes: Sequence[int]) -> GroupedSample:
@@ -148,4 +174,4 @@ def random_group_split(seq: DrawSequence, sizes: Sequence[int]) -> GroupedSample
     for s in sizes:
         groups.append(seq.indices[start : start + s])
         start += s
-    return GroupedSample(tuple(groups))
+    return GroupedSample._unchecked(tuple(groups))

@@ -10,8 +10,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .designs import srs
-from .population import ClassifiedPopulation, SizeWeights, as_index, as_indices, sample_size
+from .designs import _srs
+from .population import ClassifiedPopulation, as_index, as_indices, sample_size
 
 PROB_SUM_TOL = 1e-12
 
@@ -29,6 +29,14 @@ class CountVector:
         if any(c < 0 for c in counts):
             raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def _unchecked(cls, counts: tuple[int, ...]) -> "CountVector":
+        """Counts tallied by sample_counts, which always pass __post_init__'s
+        checks (the tests rebuild every one through them)."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "counts", counts)
+        return vector
 
     @property
     def n(self) -> int:
@@ -133,8 +141,9 @@ def sample_counts(
     """Draw class counts as the class tally of srs(N, n, replacement, rng),
     where class k owns N_k consecutive units: a multivariate hypergeometric
     count vector without replacement, a multinomial one with it."""
-    units = srs(cp.size, n, replacement, rng).indices
+    size = cp.size
+    units = _srs(size, sample_size(n, size, replacement), replacement, rng).indices
     counts = [0] * cp.num_groups
-    for k in SizeWeights(cp.subgroup_sizes).units_of(units):
+    for k in cp.weights.units_of(units):
         counts[k] += 1
-    return CountVector(tuple(counts))
+    return CountVector._unchecked(tuple(counts))

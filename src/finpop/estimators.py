@@ -10,7 +10,9 @@ row, and the enumeration oracle and the Monte Carlo harness pass it many.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,6 +20,32 @@ import numpy as np
 from .designs import AcsSample, DrawSequence, GroupedSample
 from .distributions import fpc
 from .population import NetworkPartition, Population, SizeWeights, sample_size
+
+
+# Below this magnitude no drawn value can overflow an estimate: a mean of n
+# values stays under n * 1e100, and the random-group form under
+# 16e200 * n * k^2 (group-mean differences under 4e100, Laplacian entries at
+# most n), far inside the float range for any n and k that fit in memory.
+# Finite values that do not overflow cannot produce a NaN.
+_SAFE_MAGNITUDE = 1e100
+
+
+@functools.lru_cache(maxsize=256)
+def _group_forms(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(contrast, laplacian) of the random-group form for contiguous groups
+    of the given sizes, built once per size tuple and read-only: contrast is
+    (n, k-1), column a-1 taking group a's mean less group 0's; laplacian is
+    the Laplacian of the pair weights n_a n_b / (n_a + n_b) less row and
+    column 0."""
+    s = np.asarray(sizes)
+    k = len(s)
+    pair = np.multiply.outer(s, s) / np.add.outer(s, s)
+    laplacian = (np.diag(pair.sum(axis=1)) - pair)[1:, 1:]
+    members = np.repeat(np.eye(k) / s, s, axis=0)  # (n, k): 1/n_a in group a's rows
+    contrast = members[:, 1:] - members[:, :1]
+    contrast.flags.writeable = False
+    laplacian.flags.writeable = False
+    return contrast, laplacian
 
 
 def estimates(drawn: np.ndarray, group_sizes: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -31,26 +59,32 @@ def estimates(drawn: np.ndarray, group_sizes: Optional[Sequence[int]] = None) ->
         means = drawn @ np.ones(drawn.shape[1])
         means /= drawn.shape[1]
         return means
-    # The pair sum is the form d' L d, L the Laplacian of the pair weights
-    # n_a n_b / (n_a + n_b) less row and column 0, d_a = mean_a - mean_0 on rows
+    # The pair sum is the form d' L d over d_a = mean_a - mean_0 on rows
     # centred on their first value: exact for close values, and never negative.
-    sizes = np.asarray(group_sizes)
-    k = len(sizes)
-    pair = np.multiply.outer(sizes, sizes) / np.add.outer(sizes, sizes)
-    laplacian = (np.diag(pair.sum(axis=1)) - pair)[1:, 1:]
-    members = np.repeat(np.eye(k) / sizes, sizes, axis=0)  # (n, k): 1/n_a in group a's rows
-    diffs = (drawn - drawn[:, :1]) @ (members[:, 1:] - members[:, :1])
+    contrast, laplacian = _group_forms(tuple(map(operator.index, group_sizes)))
+    k = laplacian.shape[0] + 1
+    diffs = (drawn - drawn[:, :1]) @ contrast
     return ((diffs @ laplacian) * diffs) @ np.ones(k - 1) / (k * (k - 1) // 2)
 
 
 def _estimate(drawn: list[float], group_sizes: Optional[Sequence[int]] = None) -> float:
     """estimates() on a single sample, passed as one (1, n) row.  An estimate
-    that overflows the float range is refused, not returned as inf or NaN."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return float(estimates(np.array([drawn], dtype=float), group_sizes)[0])
-    except FloatingPointError as exc:
-        raise ValueError(f"estimate out of the float range: {exc}") from exc
+    that overflows the float range or is not finite is refused, not returned
+    as inf or NaN.  Only a sample with a value of _SAFE_MAGNITUDE or more can
+    overflow, so only it pays for the floating-point guard; a NaN, which
+    max() can skip, makes a NaN estimate and is refused by the last check."""
+    row = np.array([drawn], dtype=float)
+    if max(map(abs, drawn)) < _SAFE_MAGNITUDE:
+        value = float(estimates(row, group_sizes)[0])
+    else:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                value = float(estimates(row, group_sizes)[0])
+        except FloatingPointError as exc:
+            raise ValueError(f"estimate out of the float range: {exc}") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"estimate out of the float range: {value}")
+    return value
 
 
 def _in_range(indices: Sequence[int], size: int) -> Sequence[int]:

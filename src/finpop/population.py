@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -127,6 +128,12 @@ class ClassifiedPopulation:
         n = self.size
         return tuple(s / n for s in self.subgroup_sizes)
 
+    @cached_property
+    def weights(self) -> "SizeWeights":
+        """The subgroup sizes as size weights: class k owns the N_k
+        consecutive units after those of classes 0..k-1."""
+        return SizeWeights(self.subgroup_sizes)
+
 
 @dataclass(frozen=True)
 class SizeWeights:
@@ -240,8 +247,26 @@ class NetworkPartition:
     def num_networks(self) -> int:
         return len(self.network_sizes)
 
+    @cached_property
+    def _members_index(self) -> tuple[array, array]:
+        """(order, starts): every unit, grouped by network in increasing
+        order within each, and where each network's run of order starts,
+        with the number of units last.  Built in one pass on first use."""
+        starts = array("q", (0, *accumulate(self.network_sizes)))
+        order = array("q", [0]) * self.num_units
+        fill = starts[:-1]
+        for i, a in enumerate(self.assignment):
+            order[fill[a]] = i
+            fill[a] += 1
+        return order, starts
+
     def members(self, network: int) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.assignment) if a == network)
+        """The units of a network, in increasing order; none for an id that
+        names no network."""
+        if not 0 <= network < self.num_networks:
+            return ()
+        order, starts = self._members_index
+        return tuple(order[starts[network] : starts[network + 1]])
 
     @classmethod
     def from_assignment(cls, pop: Population, assignment: Sequence[int]) -> "NetworkPartition":

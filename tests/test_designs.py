@@ -6,8 +6,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finpop import (
+    ClassifiedPopulation,
     NetworkPartition,
     Population,
     SizeWeights,
@@ -15,11 +18,13 @@ from finpop import (
     pps_wor_extended,
     pps_wr,
     random_group_split,
+    sample_counts,
     srs,
 )
 from finpop.designs import DrawSequence, GroupedSample
+from finpop.distributions import CountVector
 
-from conftest import ScriptedRng
+from conftest import ScriptedRng, compositions
 
 
 class TestDrawSequence:
@@ -224,3 +229,49 @@ def test_srs_wor_memory_does_not_grow_with_n_units():
         tracemalloc.stop()
     assert len(set(seq.indices)) == 3 and all(0 <= i < 10**7 for i in seq.indices)
     assert peak < 1 << 20
+
+
+def _all_ints(values):
+    return all(type(i) is int for i in values)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_sampler_output_equals_its_checked_rebuild(data):
+    # The samplers build their output without re-running the public
+    # constructors' checks; rebuilding it through them must change nothing.
+    N = data.draw(st.integers(1, 30), label="N")
+    replacement = data.draw(st.booleans(), label="replacement")
+    n = data.draw(st.integers(1, 2 * N if replacement else N), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=N, max_size=N), label="sizes")
+    labels = data.draw(st.lists(st.integers(0, N - 1), min_size=N, max_size=N), label="labels")
+    pop, w = Population(tuple(range(N))), SizeWeights(tuple(sizes))
+    part = NetworkPartition.from_assignment(pop, labels)
+
+    n_pps = data.draw(st.integers(1, w.total), label="n_pps")
+    for seq, size in (
+        (srs(N, n, replacement, rng), n),
+        (pps_wr(w, n, rng), n),
+        (pps_wor_extended(pop, w, n_pps, rng), n_pps),
+    ):
+        assert DrawSequence(seq.indices, seq.replacement) == seq and _all_ints(seq.indices)
+        assert seq.n == size
+
+    s = acs(pop, part, n, replacement, rng)
+    assert DrawSequence(s.initial.indices, replacement) == s.initial
+    assert _all_ints(s.initial.indices) and _all_ints(s.final_units)
+    # The final sample as a scan of every unit would find it.
+    nets = {part.assignment[i] for i in s.initial.indices}
+    assert s.final_units == frozenset(i for i, a in enumerate(part.assignment) if a in nets)
+
+    grouped = data.draw(st.integers(1, N), label="grouped")
+    k = data.draw(st.integers(1, min(3, grouped)), label="k")
+    group_sizes = data.draw(st.sampled_from(list(compositions(grouped, k))), label="group_sizes")
+    g = random_group_split(srs(N, sum(group_sizes), False, rng), group_sizes)
+    assert GroupedSample(g.groups) == g and all(_all_ints(grp) for grp in g.groups)
+
+    cp = ClassifiedPopulation(tuple(sizes))
+    count_n = data.draw(st.integers(1, cp.size), label="count_n")
+    c = sample_counts(cp, count_n, replacement, rng)
+    assert CountVector(c.counts) == c and _all_ints(c.counts) and c.n == count_n

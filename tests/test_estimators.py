@@ -23,8 +23,9 @@ from finpop import (
     sample_mean,
     srs_mean_variance,
 )
+from finpop import estimators
 from finpop.designs import AcsSample, DrawSequence, GroupedSample
-from finpop.estimators import estimates
+from finpop.estimators import _estimate, _group_forms, estimates
 
 POP5 = Population((1, 2, 3, 4, 5))
 POP_PPS = Population((2, 2, 3))
@@ -317,6 +318,79 @@ def test_group_estimates_match_exact_pair_sum(offset, spread, sizes, data):
     tol = 1e-12 * (float(exact) + width * math.sqrt(exact)) + (1e-12 * width) ** 2
     tol += np.finfo(float).tiny
     assert abs(Fraction(got) - exact) <= tol
+
+
+def per_call_group_estimates(drawn, group_sizes):
+    """The random-group estimator with its matrices built on every call, as
+    estimates() built them before they were cached."""
+    sizes = np.asarray(group_sizes)
+    k = len(sizes)
+    pair = np.multiply.outer(sizes, sizes) / np.add.outer(sizes, sizes)
+    laplacian = (np.diag(pair.sum(axis=1)) - pair)[1:, 1:]
+    members = np.repeat(np.eye(k) / sizes, sizes, axis=0)
+    diffs = (drawn - drawn[:, :1]) @ (members[:, 1:] - members[:, :1])
+    return ((diffs @ laplacian) * diffs) @ np.ones(k - 1) / (k * (k - 1) // 2)
+
+
+class TestGroupFormCache:
+    @pytest.mark.parametrize(
+        "sizes", [(3, 1), (1, 4, 2), (2, 5, 1, 3), (4, 1, 3, 2, 6), (1, 2, 3, 4, 5, 6)]
+    )
+    def test_bit_identical_to_per_call_construction(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        for drawn in (rng.normal(0.0, 1.0, (50, sum(sizes))),
+                      rng.normal(1e8, 1e-3, (1, sum(sizes)))):
+            want = per_call_group_estimates(drawn, sizes).tobytes()
+            for key in (sizes, list(sizes), np.array(sizes)):
+                assert estimates(drawn, key).tobytes() == want
+
+    def test_cached_arrays_are_read_only(self):
+        contrast, laplacian = _group_forms((2, 3, 1))
+        assert _group_forms((2, 3, 1))[0] is contrast
+        for array in (contrast, laplacian):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+    def test_cache_is_bounded(self):
+        maxsize = _group_forms.cache_info().maxsize
+        assert maxsize is not None
+        for m in range(maxsize + 10):
+            _group_forms((1, m + 1))
+        assert _group_forms.cache_info().currsize == maxsize
+
+
+class TestFloatGuard:
+    def test_overflowing_group_differences_are_refused(self):
+        # Group means +-1e160 differ by 2e160, whose square overflows.
+        pop = Population((1e160, -1e160, 1e160, -1e160))
+        g = random_group_split(DrawSequence((0, 2, 1, 3), False), (2, 2))
+        with pytest.raises(ValueError, match="float range"):
+            random_group_variance_estimate(pop, g)
+
+    def test_an_infinite_network_mean_is_refused(self):
+        pop = Population((1e308, 1e308, 1.0))
+        part = NetworkPartition.from_assignment(pop, [0, 0, 1])
+        assert part.network_means[0] == math.inf
+        s = AcsSample(DrawSequence((2, 0), False), frozenset({0, 1, 2}))
+        with pytest.raises(ValueError, match="float range"):
+            acs_mean(pop, part, s)
+
+    @pytest.mark.parametrize("group_sizes", [None, (2, 1)])
+    def test_values_below_the_bound_skip_the_guard_and_match_it(
+        self, monkeypatch, group_sizes
+    ):
+        below = float(np.nextafter(estimators._SAFE_MAGNITUDE, 0))
+        drawn = [below, -below / 3, below / 7]
+        with np.errstate(over="raise", invalid="raise"):
+            guarded = float(estimates(np.array([drawn]), group_sizes)[0])
+
+        def must_not_run(**kwargs):
+            raise AssertionError("the float guard ran below the bound")
+
+        monkeypatch.setattr(estimators.np, "errstate", must_not_run)
+        assert _estimate(drawn, group_sizes) == guarded
+        with pytest.raises(AssertionError, match="float guard"):
+            _estimate([estimators._SAFE_MAGNITUDE] + drawn[1:], group_sizes)
 
 
 class TestRgPairExpectation:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from finpop import (
     Adjacency,
+    ClassifiedPopulation,
     NetworkPartition,
     Population,
     SizeWeights,
@@ -196,6 +197,22 @@ class TestNetworkPartition:
         seen = [part.assignment[i] for i in range(n)]
         for k in range(part.num_networks):
             assert seen.count(k) == part.network_sizes[k]
+
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=12))
+    @settings(max_examples=200)
+    def test_members_match_a_scan_of_the_units(self, labels):
+        part = NetworkPartition.from_assignment(Population((0.0,) * len(labels)), labels)
+        for k in range(-1, part.num_networks + 1):
+            assert part.members(k) == tuple(i for i, a in enumerate(part.assignment) if a == k)
+        assert part._members_index is part._members_index
+
+
+class TestClassifiedPopulation:
+    def test_weights_are_cached(self):
+        cp = ClassifiedPopulation((2, 3, 1))
+        assert cp.weights is cp.weights
+        assert cp.weights == SizeWeights((2, 3, 1))
+        assert cp == ClassifiedPopulation((2, 3, 1))
 
 
 class TestFlattenNetworks:

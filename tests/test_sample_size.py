@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from finpop import distributions, estimators, verify
+from finpop import designs, distributions, estimators, verify
 from finpop.cli import main
 from finpop.designs import srs
 from finpop.population import ClassifiedPopulation, Population, SizeWeights, sample_size
@@ -33,6 +33,10 @@ ENTRY_POINTS = [
     ("sample_size_wr", lambda n: sample_size(n, 5, True), 5, True),
     ("srs", lambda n: srs(5, n, False, _rng()), 5, False),
     ("srs_wr", lambda n: srs(5, n, True, _rng()), 5, True),
+    ("pps_wr", lambda n: designs.pps_wr(WEIGHTS, n, _rng()), 7, True),
+    ("pps_wor_extended", lambda n: designs.pps_wor_extended(POP, WEIGHTS, n, _rng()), 7, False),
+    ("acs", lambda n: designs.acs(POP, ACS.partition, n, False, _rng()), 5, False),
+    ("acs_wr", lambda n: designs.acs(POP, ACS.partition, n, True, _rng()), 5, True),
     ("sample_counts", lambda n: distributions.sample_counts(CP, n, False, _rng()), 5, False),
     ("sample_counts_wr", lambda n: distributions.sample_counts(CP, n, True, _rng()), 5, True),
     ("srs_mean_variance", lambda n: estimators.srs_mean_variance(POP, n, False), 5, False),
@@ -116,6 +120,16 @@ def test_every_entry_point_accepts_the_largest_size_its_universe_allows(
     call, universe, replacement
 ):
     call(universe + 1 if replacement else universe)
+
+
+@pytest.mark.parametrize("n_1", [0, 6])
+def test_acs_and_its_variance_refuse_a_bad_n_1_in_the_same_words(n_1):
+    with pytest.raises(ValueError) as drawn:
+        designs.acs(POP, ACS.partition, n_1, False, _rng())
+    with pytest.raises(ValueError) as closed_form:
+        estimators.acs_variance(POP, ACS.partition, n_1, False)
+    assert str(drawn.value) == str(closed_form.value)
+    assert str(drawn.value).startswith("n_1")
 
 
 def test_random_groups_resolve_their_sum_through_the_rule():
