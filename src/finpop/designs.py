@@ -11,7 +11,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .population import NetworkPartition, Population, SizeWeights, as_index, as_indices, sample_size
+from .population import (
+    NetworkPartition, Population, SizeWeights, as_index, as_indices, check_covers, sample_size,
+)
 
 
 @dataclass(frozen=True)
@@ -128,8 +130,7 @@ def pps_wor_extended(
 ) -> DrawSequence:
     """PPS without replacement via the extended population: simple random
     sampling WOR of n positions out of the total(w) extended positions."""
-    if w.num_units != pop.size:
-        raise ValueError("size weights length does not match population size")
+    check_covers(pop, w.num_units)
     return _srs(w.total, sample_size(n, w.total, False), False, rng)
 
 
@@ -144,8 +145,7 @@ def acs(
     every initially selected unit enters the final sample.  Only the touched
     networks are read, through the partition's members index, so once that
     is built the cost does not grow with N."""
-    if partition.num_units != pop.size:
-        raise ValueError("partition size does not match population size")
+    check_covers(pop, partition.num_units)
     initial = _srs(pop.size, sample_size(n_1, pop.size, replacement, "n_1"), replacement, rng)
     nets = {partition.assignment[i] for i in initial.indices}
     order, starts = partition._members_index

@@ -47,12 +47,7 @@ Counts = Union[CountVector, Sequence[int]]
 
 
 def _as_counts(c: Counts) -> tuple[int, ...]:
-    if isinstance(c, CountVector):
-        return c.counts
-    counts = as_indices(c, "count")
-    if any(x < 0 for x in counts):
-        raise ValueError("counts must be nonnegative")
-    return counts
+    return (c if isinstance(c, CountVector) else CountVector(c)).counts
 
 
 def fpc(n: int, N: int) -> float:

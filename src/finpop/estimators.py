@@ -19,7 +19,9 @@ import numpy as np
 
 from .designs import AcsSample, DrawSequence, GroupedSample
 from .distributions import fpc
-from .population import NetworkPartition, Population, SizeWeights, sample_size
+from .population import (
+    NetworkPartition, Population, SizeWeights, check_covers, in_range, pps_ratios, sample_size,
+)
 
 
 # Below this magnitude no drawn value can overflow an estimate: a mean of n
@@ -30,6 +32,14 @@ from .population import NetworkPartition, Population, SizeWeights, sample_size
 _SAFE_MAGNITUDE = 1e100
 
 
+def check_group_sizes(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """sizes, once they are two or more groups of at least one draw each: the
+    one check of random-group sizes, which _group_forms runs before building."""
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise ValueError(f"random groups need two or more sizes of at least 1, got {sizes}")
+    return sizes
+
+
 @functools.lru_cache(maxsize=256)
 def _group_forms(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(contrast, laplacian) of the random-group form for contiguous groups
@@ -37,7 +47,7 @@ def _group_forms(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     (n, k-1), column a-1 taking group a's mean less group 0's; laplacian is
     the Laplacian of the pair weights n_a n_b / (n_a + n_b) less row and
     column 0."""
-    s = np.asarray(sizes)
+    s = np.asarray(check_group_sizes(sizes))
     k = len(s)
     pair = np.multiply.outer(s, s) / np.add.outer(s, s)
     laplacian = (np.diag(pair.sum(axis=1)) - pair)[1:, 1:]
@@ -87,13 +97,6 @@ def _estimate(drawn: list[float], group_sizes: Optional[Sequence[int]] = None) -
     return value
 
 
-def _in_range(indices: Sequence[int], size: int) -> Sequence[int]:
-    for i in (min(indices), max(indices)):
-        if not 0 <= i < size:
-            raise ValueError(f"index {i} out of range for population of size {size}")
-    return indices
-
-
 def _design_variance(sigma2: float, n: int, universe: int, replacement: bool, name: str) -> float:
     """Variance of the mean of n draws from a universe whose single-draw
     variance is sigma2: sigma2 / n, times fpc(n, universe) without
@@ -105,7 +108,7 @@ def _design_variance(sigma2: float, n: int, universe: int, replacement: bool, na
 
 def sample_mean(pop: Population, seq: DrawSequence) -> float:
     """Arithmetic mean of the population values at the drawn indices."""
-    return _estimate([pop.values[i] for i in _in_range(seq.indices, pop.size)])
+    return _estimate([pop.values[i] for i in in_range(seq.indices, pop.size)])
 
 
 def srs_mean_variance(pop: Population, n: int, replacement: bool) -> float:
@@ -119,22 +122,16 @@ def hansen_hurvitz(pop: Population, w: SizeWeights, seq: DrawSequence) -> float:
     the draws.  A with-replacement draw holds unit indices; a
     without-replacement draw holds extended-population positions, which are
     mapped back to their units."""
-    if w.num_units != pop.size:
-        raise ValueError("size weights length does not match population size")
-    total = w.total
-    units = _in_range(seq.indices, pop.size) if seq.replacement else w.units_of(seq.indices)
-    ratios = [pop.values[i] / (w.sizes[i] / total) for i in units]
-    if not all(map(math.isfinite, ratios)):
-        raise ValueError("every Y_i/Z_i must be finite")
-    return _estimate(ratios)
+    check_covers(pop, w.num_units)
+    units = in_range(seq.indices, pop.size) if seq.replacement else w.units_of(seq.indices)
+    return _estimate(pps_ratios(pop, w, units))
 
 
 def hh_variance(pop: Population, w: SizeWeights, n: int, replacement: bool) -> float:
     """Variance of the Hansen-Hurvitz total estimator:
     (1/n) sum_i Z_i (Y_i/Z_i - t_Y)^2, times fpc(n, t_M) for the
     extended-population WOR variant."""
-    if w.num_units != pop.size:
-        raise ValueError("size weights length does not match population size")
+    check_covers(pop, w.num_units)
     t_y = pop.total
     sigma2 = math.fsum(z * (y / z - t_y) ** 2 for y, z in zip(pop.values, w.probabilities))
     return _design_variance(sigma2, n, w.total, replacement, "n")
@@ -143,10 +140,8 @@ def hh_variance(pop: Population, w: SizeWeights, n: int, replacement: bool) -> f
 def acs_mean(pop: Population, partition: NetworkPartition, s: AcsSample) -> float:
     """ACS estimator of the population mean: average, over the initial draws,
     of the network mean of each initially selected unit."""
-    if partition.num_units != pop.size:
-        raise ValueError("partition size does not match population size")
-    means, assignment = partition.network_means, partition.assignment
-    return _estimate([means[assignment[i]] for i in _in_range(s.initial.indices, pop.size)])
+    check_covers(pop, partition.num_units)
+    return _estimate(partition.means_of(in_range(s.initial.indices, pop.size)))
 
 
 def acs_variance(
@@ -155,8 +150,7 @@ def acs_variance(
     """Variance of the ACS mean estimator: the flattened-population variance
     (1/N) sum_k N_k (mean_k - mean)^2 over n_1, times fpc(n_1, N) for a
     without-replacement initial sample."""
-    if partition.num_units != pop.size:
-        raise ValueError("partition size does not match population size")
+    check_covers(pop, partition.num_units)
     mean = pop.mean
     flat_var = (
         math.fsum(
@@ -172,9 +166,7 @@ def random_group_variance_estimate(pop: Population, g: GroupedSample) -> float:
     """Unbiased estimator of the population variance S^2 (denominator N-1)
     from a grouped WOR sample: average over group pairs (k, l) of
     (mean_k - mean_l)^2 / (1/n_k + 1/n_l)."""
-    if g.num_groups < 2:
-        raise ValueError("need at least two groups")
-    drawn = [pop.values[i] for grp in g.groups for i in _in_range(grp, pop.size)]
+    drawn = [pop.values[i] for grp in g.groups for i in in_range(grp, pop.size)]
     return _estimate(drawn, g.sizes)
 
 

@@ -10,7 +10,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Sequence
 
 
@@ -40,6 +40,15 @@ def sample_size(n: object, universe: int, replacement: bool, what: str = "n") ->
             f"{what}={n} exceeds the {universe} units a draw without replacement can take"
         )
     return n
+
+
+def in_range(indices: Sequence[int], size: int, what="index", of="population") -> Sequence[int]:
+    """indices, once each lies in range(size): the one bounds check of drawn
+    unit indices and extended-population positions."""
+    for i in (min(indices), max(indices)):
+        if not 0 <= i < size:
+            raise ValueError(f"{what} {i} outside {of} of size {size}")
+    return indices
 
 
 def as_indices(values: Iterable, what: str) -> tuple[int, ...]:
@@ -176,10 +185,7 @@ class SizeWeights:
         (0-based): unit i owns the sizes[i] positions after those of units
         0..i-1.  This is the one position-to-unit map of the package."""
         cumulative = self.cumulative
-        total = cumulative[-1]
-        for p in (min(positions), max(positions)):
-            if not 0 <= p < total:
-                raise ValueError(f"position {p} outside extended population of size {total}")
+        in_range(positions, cumulative[-1], "position", "extended population")
         return tuple(bisect_right(cumulative, p) for p in positions)
 
 
@@ -235,6 +241,8 @@ class NetworkPartition:
             counts[a] += 1
         if tuple(counts) != sizes:
             raise ValueError("assignment counts do not match network_sizes")
+        if not all(map(math.isfinite, means)):
+            raise ValueError("network means must be finite")
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "network_sizes", sizes)
         object.__setattr__(self, "network_means", means)
@@ -268,44 +276,62 @@ class NetworkPartition:
         order, starts = self._members_index
         return tuple(order[starts[network] : starts[network + 1]])
 
+    def means_of(self, units: Iterable[int]) -> list[float]:
+        """The ACS transformed value of each given unit: its network's mean."""
+        means, assignment = self.network_means, self.assignment
+        return [means[assignment[i]] for i in units]
+
     @classmethod
     def from_assignment(cls, pop: Population, assignment: Sequence[int]) -> "NetworkPartition":
         """Build a partition from arbitrary network labels, computing sizes and means."""
-        if len(assignment) != pop.size:
-            raise ValueError("assignment length does not match population size")
+        check_covers(pop, len(assignment))
         label_to_id: dict[object, int] = {}
-        ids = []
-        for a in assignment:
-            if a not in label_to_id:
-                label_to_id[a] = len(label_to_id)
-            ids.append(label_to_id[a])
+        ids = [label_to_id.setdefault(a, len(label_to_id)) for a in assignment]
         k = len(label_to_id)
         sums = [0.0] * k
         counts = [0] * k
         for i, g in enumerate(ids):
             sums[g] += pop.values[i]
             counts[g] += 1
-        means = tuple(s / c for s, c in zip(sums, counts))
-        return cls(tuple(ids), tuple(counts), means)
+        means = [s / c for s, c in zip(sums, counts)]
+        for g in [g for g, s in enumerate(sums) if not math.isfinite(s)]:
+            # The plain sum overflowed: sum v / 2c, double, clamp to the range.
+            members = [v for v, h in zip(pop.values, ids) if h == g]
+            mean = 2.0 * math.fsum(v / (2 * counts[g]) for v in members)
+            means[g] = min(max(mean, min(members)), max(members))
+        return cls(tuple(ids), tuple(counts), tuple(means))
+
+
+def check_covers(pop: Population, num_units: int) -> None:
+    """The one check that a per-unit structure of num_units units covers pop."""
+    if num_units != pop.size:
+        raise ValueError(f"{num_units} per-unit entries (size weights, adjacency rows or "
+                         f"network labels) for a population of {pop.size} units")
+
+
+def pps_ratios(pop: Population, w: SizeWeights, units: Iterable[int]) -> tuple[float, ...]:
+    """The PPS transformed value Y_i / Z_i, Z_i = sizes[i] / t_M, of each given
+    unit: what the extended population repeats sizes[i] times and the
+    Hansen-Hurvitz estimator averages.  One that is not finite is refused."""
+    values, sizes, total = pop.values, w.sizes, w.total
+    ratios = tuple([values[i] / (sizes[i] / total) for i in units])
+    if not all(map(math.isfinite, ratios)):
+        raise ValueError("every Y_i/Z_i must be finite")
+    return ratios
 
 
 def extend_pps(pop: Population, w: SizeWeights) -> Population:
     """Extended population of size total(w): unit i contributes sizes[i] copies
     of Y_i / Z_i.  Its mean is the original population total."""
-    if w.num_units != pop.size:
-        raise ValueError("size weights length does not match population size")
-    probs = w.probabilities
-    extended: list[float] = []
-    for y, z, m in zip(pop.values, probs, w.sizes):
-        extended.extend([y / z] * m)
-    return Population(tuple(extended))
+    check_covers(pop, w.num_units)
+    ratios = pps_ratios(pop, w, range(pop.size))
+    return Population(tuple(chain.from_iterable(map(repeat, ratios, w.sizes))))
 
 
 def compute_networks(pop: Population, adj: Adjacency, threshold: float) -> NetworkPartition:
     """Group units with value above the threshold into connected components of
     the induced subgraph; every other unit becomes its own singleton network."""
-    if adj.num_units != pop.size:
-        raise ValueError("adjacency size does not match population size")
+    check_covers(pop, adj.num_units)
     qualifies = [v > threshold for v in pop.values]
     labels = [-1] * pop.size
     next_label = 0
@@ -331,6 +357,5 @@ def compute_networks(pop: Population, adj: Adjacency, threshold: float) -> Netwo
 def flatten_networks(pop: Population, partition: NetworkPartition) -> Population:
     """Replace every unit's value by the mean of its network.  Preserves the
     population mean and removes within-network variance."""
-    if partition.num_units != pop.size:
-        raise ValueError("partition size does not match population size")
-    return Population(tuple(partition.network_means[a] for a in partition.assignment))
+    check_covers(pop, partition.num_units)
+    return Population(tuple(partition.means_of(range(pop.size))))

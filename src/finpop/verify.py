@@ -17,16 +17,8 @@ import numpy as np
 
 from . import estimators
 from .population import (
-    Adjacency,
-    ClassifiedPopulation,
-    NetworkPartition,
-    Population,
-    SizeWeights,
-    as_index,
-    as_indices,
-    compute_networks,
-    extend_pps,
-    flatten_networks,
+    Adjacency, ClassifiedPopulation, NetworkPartition, Population, SizeWeights, as_index,
+    as_indices, check_covers, compute_networks, extend_pps, flatten_networks, pps_ratios,
     sample_size,
 )
 from .distributions import fpc
@@ -99,9 +91,7 @@ class DesignConfig:
             _require(self.n is None, "give acs its initial sample size as n or n1, not both")
         if self.group_sizes is not None:
             _require(self.design == "srs", f"design {self.design!r} takes no group_sizes")
-            sizes = as_indices(self.group_sizes, "group size")
-            if len(sizes) < 2 or any(s < 1 for s in sizes):
-                raise ValueError("group_sizes must be >= 2 positive integers")
+            sizes = estimators.check_group_sizes(as_indices(self.group_sizes, "group size"))
             object.__setattr__(self, "group_sizes", sizes)
 
     @classmethod
@@ -204,6 +194,7 @@ def estimator_spec(inst: Instance, config: DesignConfig) -> EstimatorSpec:
     _require(pop is not None, f"design {design!r} requires population values")
     if design.startswith("pps"):
         _require(w is not None, f"design {design!r} requires size weights")
+        check_covers(pop, w.num_units)
     if design.startswith("acs"):
         _require(inst.partition is not None, f"design {design!r} requires a network partition")
     replacement = design.endswith("_wr")
@@ -233,11 +224,7 @@ def estimator_spec(inst: Instance, config: DesignConfig) -> EstimatorSpec:
             "acs_mean", "mean", universe, n, replacement, flat.values, None, None,
             Moments(pop.mean, estimators.acs_variance(pop, inst.partition, n, replacement)),
         )
-    if replacement:
-        values = tuple(y / z for y, z in zip(pop.values, w.probabilities))
-        _require(all(map(math.isfinite, values)), "every Y_i/Z_i must be finite")
-    else:
-        values = extend_pps(pop, w).values
+    values = pps_ratios(pop, w, range(pop.size)) if replacement else extend_pps(pop, w).values
     return EstimatorSpec(
         "hh_total", "total", universe, n, replacement, values,
         w.sizes if replacement else None, None,

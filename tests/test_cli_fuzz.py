@@ -43,9 +43,11 @@ def populations(draw):
     size = len(values) if isinstance(values, list) else 0
     pop = {"values": values}
     if draw(st.booleans()):
+        # One list in eight is a unit short or long, for the coverage check.
+        length = draw(mostly(st.just(size), st.sampled_from([size + 1, max(size - 1, 0)])))
         pop["sizes"] = draw(mostly(
-            st.lists(st.integers(1, 6), min_size=size, max_size=size),
-            st.lists(number, min_size=size, max_size=size) | junk,
+            st.lists(st.integers(1, 6), min_size=length, max_size=length),
+            st.lists(number, min_size=length, max_size=length) | junk,
         ))
     if draw(st.booleans()):
         path = [[j for j in (i - 1, i + 1) if 0 <= j < size] for i in range(size)]

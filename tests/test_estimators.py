@@ -257,6 +257,14 @@ class TestRandomGroupVariance:
         with pytest.raises(ValueError):
             random_group_variance_estimate(pop, g)
 
+    @pytest.mark.filterwarnings("error")
+    def test_the_public_estimator_refuses_one_group(self):
+        # One group has no pair to average over: refused, not a NaN and a warning.
+        with pytest.raises(ValueError, match="two or more sizes"):
+            estimates(np.array([[1.0, 2.0, 3.0]]), (3,))
+        with pytest.raises(ValueError, match="two or more sizes"):
+            random_group_variance_estimate(Population((1, 2, 3)), GroupedSample(((0, 1, 2),)))
+
     @given(st.data())
     @settings(max_examples=150)
     def test_equal_size_shortcut_agrees(self, data):
@@ -368,10 +376,17 @@ class TestFloatGuard:
             random_group_variance_estimate(pop, g)
 
     def test_an_infinite_network_mean_is_refused(self):
+        # Two values of 1e308 have a finite mean, though their sum is not;
+        # a partition refuses an infinite mean, and an ACS estimate whose
+        # sum overflows is refused.
         pop = Population((1e308, 1e308, 1.0))
         part = NetworkPartition.from_assignment(pop, [0, 0, 1])
-        assert part.network_means[0] == math.inf
-        s = AcsSample(DrawSequence((2, 0), False), frozenset({0, 1, 2}))
+        assert part.network_means == (1e308, 1.0)
+        with pytest.raises(ValueError, match="network means must be finite"):
+            NetworkPartition(part.assignment, part.network_sizes, (math.inf, 1.0))
+        assert acs_mean(pop, part, AcsSample(DrawSequence((2, 0), False), frozenset({0, 1, 2}))) \
+            == pytest.approx(5e307)
+        s = AcsSample(DrawSequence((1, 0), False), frozenset({0, 1}))
         with pytest.raises(ValueError, match="float range"):
             acs_mean(pop, part, s)
 

@@ -173,6 +173,44 @@ class TestNetworkPartition:
         assert part.network_sizes == (2, 1)
         assert part.network_means == (2.0, 5.0)
 
+    def test_an_overflowing_network_sum_still_gives_a_finite_mean(self):
+        big = 1.7976931348623157e308
+        part = NetworkPartition.from_assignment(Population((1e308, 1e308, 1.0)), [0, 0, 1])
+        assert part.network_means == (1e308, 1.0)
+        pop = Population((big, big, big, -big, 2.0))
+        part = NetworkPartition.from_assignment(pop, [0, 0, 0, 1, 1])
+        assert part.network_means[0] == big
+        assert part.network_means[1] == pytest.approx(-big / 2)
+        pop = Population((1e308, 1e308, -1e308, 5.0))
+        part = NetworkPartition.from_assignment(pop, [0, 0, 0, 1])
+        assert part.network_means == (pytest.approx(1e308 / 3), 5.0)
+        assert flatten_networks(pop, part).values[:3] == (part.network_means[0],) * 3
+
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=10),
+        st.data(),
+    )
+    @settings(max_examples=300)
+    def test_means_are_the_plain_sum_over_the_count_unless_it_overflows(self, values, data):
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=len(values), max_size=len(values)))
+        part = NetworkPartition.from_assignment(Population(tuple(values)), labels)
+        for k, mean in enumerate(part.network_means):
+            members = [v for v, a in zip(values, part.assignment) if a == k]
+            plain = 0.0
+            for v in members:
+                plain += v
+            assert math.isfinite(mean)
+            if math.isfinite(plain):
+                assert mean == plain / len(members)  # bit for bit
+            else:
+                assert min(members) <= mean <= max(members)
+                assert mean == pytest.approx(math.fsum(v / len(members) for v in members))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_mean_that_is_not_finite(self, bad):
+        with pytest.raises(ValueError, match="network means must be finite"):
+            NetworkPartition((0, 0, 1), (2, 1), (bad, 1.0))
+
     def test_structural_validation(self):
         with pytest.raises(ValueError):
             NetworkPartition((0, 0), (1, 1), (1.0, 2.0))  # counts mismatch
