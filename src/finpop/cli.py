@@ -16,6 +16,7 @@ import numpy as np
 
 from .distributions import multinomial_pmf, mvhyper_pmf
 from .verify import (
+    COUNT_DESIGNS,
     DesignConfig,
     EnumerationLimitError,
     Instance,
@@ -26,8 +27,6 @@ from .verify import (
     relative_efficiency,
     run_monte_carlo,
 )
-
-COUNT_DESIGNS = ("counts", "counts_wr")
 
 
 class CliError(Exception):
@@ -55,9 +54,7 @@ def _load_design(arg: str) -> dict:
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
-    if args.tolerance_abs is not None:
-        return Tolerances(abs_tol=float(args.tolerance_abs))
-    return Tolerances()
+    return Tolerances() if args.tolerance_abs is None else Tolerances(abs_tol=args.tolerance_abs)
 
 
 def _format_table(record: dict, indent: int = 0) -> str:
@@ -107,28 +104,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    pop_mapping = _load_json_file(args.population)
-    design = _load_design(args.design)
-    inst = Instance.from_mapping(pop_mapping)
-    name = design.get("design") if isinstance(design, dict) else None
-    if name in COUNT_DESIGNS:
+    inst = Instance.from_mapping(_load_json_file(args.population))
+    config = DesignConfig.from_mapping(_load_design(args.design))
+    if config.design in COUNT_DESIGNS:
         if inst.classified is None:
             raise CliError("count enumeration requires 'subgroup_sizes' in the population file")
-        extra = set(design) - {"design", "n"}
-        if extra:
-            raise CliError(f"unknown design config keys: {sorted(extra)}")
-        if "n" not in design:
-            raise CliError(f"design {name!r} requires 'n'")
-        n, replacement = design["n"], name == "counts_wr"
-        dist = enumerate_count_distribution(inst.classified, n, replacement)
+        replacement = config.design == "counts_wr"
+        dist = enumerate_count_distribution(inst.classified, config.n, replacement)
         mean, cov = count_moments(dist)
-        if replacement:
-            pmf = lambda c: multinomial_pmf(c, inst.classified.proportions)
-        else:
-            pmf = lambda c: mvhyper_pmf(c, inst.classified)
+        cp, props = inst.classified, inst.classified.proportions
+        pmf = lambda c: multinomial_pmf(c, props) if replacement else mvhyper_pmf(c, cp)
         record = {
-            "design": name,
-            "n": n,
+            "design": config.design,
+            "n": config.n,
             "subgroup_sizes": list(inst.classified.subgroup_sizes),
             "distribution": [
                 {"counts": list(c), "probability": p, "pmf": pmf(c)}
@@ -138,7 +126,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             "covariance": cov.tolist(),
         }
     else:
-        config = DesignConfig.from_mapping(design)
         moments = enumerate_moments(inst, config)
         record = {
             "design": config.design,
@@ -182,7 +169,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # infinite or NaN moments: numpy raises FloatingPointError on overflow.
         with np.errstate(over="raise", invalid="raise"):
             return handlers[args.command](args)
-    except (CliError, EnumerationLimitError, ValueError, KeyError) as exc:
+    except (CliError, EnumerationLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OverflowError, FloatingPointError) as exc:

@@ -28,11 +28,7 @@ class DrawSequence:
     replacement: bool
 
     def __post_init__(self) -> None:
-        indices = as_indices(self.indices, "index")
-        if len(indices) < 1:
-            raise ValueError("draw sequence must contain at least one draw")
-        if any(i < 0 for i in indices):
-            raise ValueError("indices must be nonnegative")
+        indices = as_indices(self.indices, "index", 0)
         if not self.replacement and len(set(indices)) != len(indices):
             raise ValueError("without-replacement draw sequence has repeated indices")
         object.__setattr__(self, "indices", indices)
@@ -58,9 +54,7 @@ class GroupedSample:
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        groups = tuple(as_indices(g, "index") for g in self.groups)
-        if any(len(g) < 1 for g in groups):
-            raise ValueError("every group must contain at least one draw")
+        groups = tuple(as_indices(g, "index", 0) for g in self.groups)
         flat = [i for g in groups for i in g]
         if len(set(flat)) != len(flat):
             raise ValueError("groups must be disjoint")
@@ -164,9 +158,7 @@ def random_group_split(seq: DrawSequence, sizes: Sequence[int]) -> GroupedSample
     """
     if seq.replacement:
         raise ValueError("random group split requires a without-replacement draw")
-    sizes = as_indices(sizes, "group size")
-    if any(s < 1 for s in sizes):
-        raise ValueError("every group size must be >= 1")
+    sizes = as_indices(sizes, "group size", 1)
     if sum(sizes) != seq.n:
         raise ValueError(f"group sizes sum to {sum(sizes)}, sequence has {seq.n} draws")
     groups = []

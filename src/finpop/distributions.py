@@ -11,7 +11,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .designs import _srs
-from .population import ClassifiedPopulation, as_index, as_indices, sample_size
+from .population import ClassifiedPopulation, as_index, as_indices, as_reals, sample_size
 
 PROB_SUM_TOL = 1e-12
 
@@ -23,11 +23,7 @@ class CountVector:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts = as_indices(self.counts, "count")
-        if len(counts) < 1:
-            raise ValueError("count vector must have at least one class")
-        if any(c < 0 for c in counts):
-            raise ValueError("counts must be nonnegative")
+        counts = as_indices(self.counts, "count", 0)
         object.__setattr__(self, "counts", counts)
 
     @classmethod
@@ -88,16 +84,21 @@ def mvhyper_pmf(c: Counts, cp: ClassifiedPopulation) -> float:
     return math.exp(log_p)
 
 
+def _probabilities(probs: Sequence[float]) -> tuple[float, ...]:
+    """probs as finite numbers >= 0 summing to 1 within PROB_SUM_TOL: the one
+    check of the multinomial pmf's and covariance's probabilities, O(K)."""
+    p = as_reals(probs, "probabilities")
+    if abs(math.fsum(p) - 1.0) > PROB_SUM_TOL or min(p) < 0:
+        raise ValueError("probabilities must each be >= 0 and sum to 1")
+    return p
+
+
 def multinomial_pmf(c: Counts, probs: Sequence[float]) -> float:
     """Probability of the class counts under n independent categorical draws."""
     counts = _as_counts(c)
-    p = tuple(float(x) for x in probs)
+    p = _probabilities(probs)
     if len(p) != len(counts):
         raise ValueError("probability vector length does not match counts")
-    if any(x < 0 for x in p):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(math.fsum(p) - 1.0) > PROB_SUM_TOL:
-        raise ValueError("probabilities must sum to 1")
     n = sum(counts)
     log_p = math.lgamma(n + 1)
     for a, pk in zip(counts, p):
@@ -111,11 +112,7 @@ def multinomial_pmf(c: Counts, probs: Sequence[float]) -> float:
 
 def multinomial_cov(probs: Sequence[float], n: int) -> np.ndarray:
     """Covariance matrix of multinomial counts: n (diag(p) - p p^T)."""
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size < 1:
-        raise ValueError("probability vector must be one-dimensional and nonempty")
-    if np.any(p < 0) or abs(math.fsum(p.tolist()) - 1.0) > PROB_SUM_TOL:
-        raise ValueError("invalid probability vector")
+    p = np.array(_probabilities(probs))
     n = sample_size(n, p.size, True)
     return n * (np.diag(p) - np.outer(p, p))
 

@@ -10,10 +10,11 @@ row, and the enumeration oracle and the Monte Carlo harness pass it many.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -72,6 +73,8 @@ def estimates(drawn: np.ndarray, group_sizes: Optional[Sequence[int]] = None) ->
     # The pair sum is the form d' L d over d_a = mean_a - mean_0 on rows
     # centred on their first value: exact for close values, and never negative.
     contrast, laplacian = _group_forms(tuple(map(operator.index, group_sizes)))
+    if len(contrast) != drawn.shape[1]:
+        raise ValueError(f"group sizes sum to {len(contrast)}, samples have {drawn.shape[1]} draws")
     k = laplacian.shape[0] + 1
     diffs = (drawn - drawn[:, :1]) @ contrast
     return ((diffs @ laplacian) * diffs) @ np.ones(k - 1) / (k * (k - 1) // 2)
@@ -106,11 +109,25 @@ def _design_variance(sigma2: float, n: int, universe: int, replacement: bool, na
     return v if replacement else v * fpc(n, universe)
 
 
+def _in_float_range(closed_form: Callable[..., float]) -> Callable[..., float]:
+    """closed_form, refusing a variance out of the float range (an
+    OverflowError or inf) with a ValueError: the closed forms' one guard."""
+    @functools.wraps(closed_form)
+    def guarded(*args, **kwargs):
+        with contextlib.suppress(OverflowError):
+            value = closed_form(*args, **kwargs)
+            if math.isfinite(value):
+                return value
+        raise ValueError("closed-form variance out of the float range")
+    return guarded
+
+
 def sample_mean(pop: Population, seq: DrawSequence) -> float:
     """Arithmetic mean of the population values at the drawn indices."""
     return _estimate([pop.values[i] for i in in_range(seq.indices, pop.size)])
 
 
+@_in_float_range
 def srs_mean_variance(pop: Population, n: int, replacement: bool) -> float:
     """Design variance of the SRS sample mean: sigma^2/n, times fpc(n, N)
     when sampling without replacement."""
@@ -127,6 +144,7 @@ def hansen_hurvitz(pop: Population, w: SizeWeights, seq: DrawSequence) -> float:
     return _estimate(pps_ratios(pop, w, units))
 
 
+@_in_float_range
 def hh_variance(pop: Population, w: SizeWeights, n: int, replacement: bool) -> float:
     """Variance of the Hansen-Hurvitz total estimator:
     (1/n) sum_i Z_i (Y_i/Z_i - t_Y)^2, times fpc(n, t_M) for the
@@ -144,6 +162,7 @@ def acs_mean(pop: Population, partition: NetworkPartition, s: AcsSample) -> floa
     return _estimate(partition.means_of(in_range(s.initial.indices, pop.size)))
 
 
+@_in_float_range
 def acs_variance(
     pop: Population, partition: NetworkPartition, n_1: int, replacement: bool
 ) -> float:
@@ -170,6 +189,7 @@ def random_group_variance_estimate(pop: Population, g: GroupedSample) -> float:
     return _estimate(drawn, g.sizes)
 
 
+@_in_float_range
 def rg_pair_expectation(pop: Population, n_k: int, n_l: int) -> float:
     """Closed-form expectation of (mean_k - mean_l)^2 for two random groups of
     sizes n_k and n_l drawn WOR from the population: S^2 (1/n_k + 1/n_l)."""

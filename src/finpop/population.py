@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 def as_index(value: object, what: str) -> int:
@@ -51,15 +51,36 @@ def in_range(indices: Sequence[int], size: int, what="index", of="population") -
     return indices
 
 
-def as_indices(values: Iterable, what: str) -> tuple[int, ...]:
-    """as_index over every item, at C speed."""
+def as_indices(values: Iterable, what: str, floor: Optional[int] = None) -> tuple[int, ...]:
+    """as_index over every item, at C speed.  With a floor, the one check of an
+    integer record (draws, counts, sizes): at least one entry, none below it."""
     try:
         raw = tuple(values)
         if bool in set(map(type, raw)):
             raise TypeError("got a bool")
-        return tuple(map(operator.index, raw))
+        out = tuple(map(operator.index, raw))
     except TypeError as exc:
         raise ValueError(f"every {what} must be an integer: {exc}") from None
+    if floor is not None and (not out or min(out) < floor):
+        raise ValueError(
+            f"need at least one {what}, each >= {floor}, got {min(out) if out else 'none'}"
+        )
+    return out
+
+
+def as_reals(values: Iterable, what: str) -> tuple[float, ...]:
+    """values as finite floats.  float() would parse "1" and turn True into
+    1.0; neither is a number here, so strings and bools are refused."""
+    try:
+        raw = tuple(values)
+        reals = tuple(map(float, raw))
+    except TypeError:
+        raise ValueError(f"{what} must be numbers") from None
+    if any(issubclass(t, (str, bytes, bool)) for t in set(map(type, raw))):
+        raise ValueError(f"{what} must be numbers, not strings or bools")
+    if not all(map(math.isfinite, reals)):
+        raise ValueError(f"{what} must be finite")
+    return reals
 
 
 @dataclass(frozen=True)
@@ -69,18 +90,9 @@ class Population:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        try:
-            raw = tuple(self.values)
-            vals = tuple(map(float, raw))
-        except TypeError:
-            raise ValueError("population values must be numbers") from None
-        # float() would parse "1" and turn True into 1.0; neither is a value.
-        if any(issubclass(t, (str, bytes, bool)) for t in set(map(type, raw))):
-            raise ValueError("population values must be numbers, not strings or bools")
+        vals = as_reals(self.values, "population values")
         if len(vals) < 1:
             raise ValueError("population must contain at least one unit")
-        if not all(map(math.isfinite, vals)):
-            raise ValueError("population values must be finite")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -117,11 +129,7 @@ class ClassifiedPopulation:
     subgroup_sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sizes = as_indices(self.subgroup_sizes, "subgroup size")
-        if len(sizes) < 1:
-            raise ValueError("at least one subgroup is required")
-        if any(s < 1 for s in sizes):
-            raise ValueError("every subgroup size must be >= 1")
+        sizes = as_indices(self.subgroup_sizes, "subgroup size", 1)
         object.__setattr__(self, "subgroup_sizes", sizes)
 
     @property
@@ -152,11 +160,7 @@ class SizeWeights:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sizes = as_indices(self.sizes, "size weight")
-        if len(sizes) < 1:
-            raise ValueError("at least one size weight is required")
-        if any(s < 1 for s in sizes):
-            raise ValueError("every size weight must be a positive integer")
+        sizes = as_indices(self.sizes, "size weight", 1)
         if min(sizes) / sum(sizes) == 0.0:
             raise ValueError("size weights too unequal: the smallest Z_i rounds to 0")
         object.__setattr__(self, "sizes", sizes)
@@ -225,24 +229,18 @@ class NetworkPartition:
 
     def __post_init__(self) -> None:
         assignment = as_indices(self.assignment, "network id")
-        sizes = as_indices(self.network_sizes, "network size")
-        means = tuple(float(m) for m in self.network_means)
+        sizes = as_indices(self.network_sizes, "network size", 1)
+        means = as_reals(self.network_means, "network means")
         k = len(sizes)
         if len(means) != k:
             raise ValueError("network_sizes and network_means lengths differ")
-        if any(s < 1 for s in sizes):
-            raise ValueError("every network must contain at least one unit")
         if sum(sizes) != len(assignment):
             raise ValueError("network sizes do not sum to the number of units")
         counts = [0] * k
-        for a in assignment:
-            if not 0 <= a < k:
-                raise ValueError(f"network id {a} out of range")
+        for a in in_range(assignment, k, "network id", "networks"):
             counts[a] += 1
         if tuple(counts) != sizes:
             raise ValueError("assignment counts do not match network_sizes")
-        if not all(map(math.isfinite, means)):
-            raise ValueError("network means must be finite")
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "network_sizes", sizes)
         object.__setattr__(self, "network_means", means)

@@ -34,7 +34,8 @@ CHUNK_ELEMENTS = 1 << 14
 # in chunks of at most CHUNK_ELEMENTS.
 RNG_STREAM = 4
 
-DESIGN_NAMES = ("srs", "srs_wr", "pps_wr", "pps_wor", "acs", "acs_wr")
+COUNT_DESIGNS = ("counts", "counts_wr")
+DESIGN_NAMES = ("srs", "srs_wr", "pps_wr", "pps_wor", "acs", "acs_wr", *COUNT_DESIGNS)
 
 
 class EnumerationLimitError(RuntimeError):
@@ -52,18 +53,14 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name, value in self.to_dict().items():
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"tolerance {name} must be finite and >= 0, got {value!r}")
+            _require(math.isfinite(value) and value >= 0,
+                     f"tolerance {name} must be finite and >= 0, got {value!r}")
 
     def close(self, observed: float, expected: float) -> bool:
         return abs(observed - expected) <= max(self.abs_tol, self.rel_tol * abs(expected))
 
     def to_dict(self) -> dict:
-        return {
-            "abs_tol": self.abs_tol,
-            "rel_tol": self.rel_tol,
-            "se_multiplier": self.se_multiplier,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,7 @@ class DesignConfig:
     WOR draw to the random-group population-variance estimator.  A field the
     design does not read is refused: group_sizes is for srs only, and n1 for
     acs and acs_wr only, which take their initial sample size as n or n1 but
-    not both."""
+    not both.  The size field is required; an n beside group_sizes must equal their sum."""
 
     design: str
     n: Optional[int] = None
@@ -93,6 +90,16 @@ class DesignConfig:
             _require(self.design == "srs", f"design {self.design!r} takes no group_sizes")
             sizes = estimators.check_group_sizes(as_indices(self.group_sizes, "group size"))
             object.__setattr__(self, "group_sizes", sizes)
+            _require(self.n is None or self.n == sum(sizes), "n must equal sum(group_sizes)")
+        field, size = self._size()
+        _require(size is not None, f"design {self.design!r} requires {field}")
+
+    def _size(self) -> tuple[str, Optional[int]]:
+        """(field, value) of the sample size: sum(group_sizes), n1 or n."""
+        if self.group_sizes is not None:
+            return "sum(group_sizes)", sum(self.group_sizes)
+        field = "n1" if self.design.startswith("acs") and self.n is None else "n"
+        return field, getattr(self, field)
 
     @classmethod
     def from_mapping(cls, m: Mapping) -> "DesignConfig":
@@ -100,10 +107,8 @@ class DesignConfig:
             isinstance(m, Mapping), f"design config must be a JSON object, got {type(m).__name__}"
         )
         extra = set(m) - {"design", "n", "n1", "group_sizes"}
-        if extra:
-            raise ValueError(f"unknown design config keys: {sorted(extra)}")
-        if "design" not in m:
-            raise ValueError("design config requires a 'design' key")
+        _require(not extra, f"unknown design config keys: {sorted(extra)}")
+        _require("design" in m, "design config requires a 'design' key")
         return cls(m["design"], m.get("n"), m.get("n1"), m.get("group_sizes"))
 
 
@@ -128,8 +133,7 @@ class Instance:
             isinstance(m, Mapping), f"population must be a JSON object, got {type(m).__name__}"
         )
         extra = set(m) - {"values", "sizes", "adjacency", "threshold", "subgroup_sizes"}
-        if extra:
-            raise ValueError(f"unknown population keys: {sorted(extra)}")
+        _require(not extra, f"unknown population keys: {sorted(extra)}")
         pop = Population(_list_field(m, "values")) if "values" in m else None
         weights = SizeWeights(_list_field(m, "sizes")) if m.get("sizes") is not None else None
         classified = (
@@ -139,10 +143,8 @@ class Instance:
         )
         partition = None
         if m.get("adjacency") is not None:
-            if pop is None:
-                raise ValueError("adjacency requires population values")
-            if m.get("threshold") is None:
-                raise ValueError("adjacency requires a threshold")
+            _require(pop is not None, "adjacency requires population values")
+            _require(m.get("threshold") is not None, "adjacency requires a threshold")
             rows = _list_field(m, "adjacency")
             threshold = m["threshold"]
             _require(
@@ -150,8 +152,8 @@ class Instance:
                 f"threshold must be a number, got {threshold!r}",
             )
             partition = compute_networks(pop, Adjacency(rows), float(threshold))
-        elif m.get("threshold") is not None:
-            raise ValueError("threshold is read only with adjacency")
+        else:
+            _require(m.get("threshold") is None, "threshold is read only with adjacency")
         return cls(pop, weights, partition, classified)
 
 
@@ -183,13 +185,20 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _sample_design(config: DesignConfig) -> str:
+    """config's design, unless it is a count design, which only finpop enumerate runs."""
+    _require(config.design not in COUNT_DESIGNS, f"design {config.design!r} draws class "
+             "counts, not a sample; run it with finpop enumerate")
+    return config.design
+
+
 def estimator_spec(inst: Instance, config: DesignConfig) -> EstimatorSpec:
     """Resolve a design config against an instance.
 
     Every design is n draws from one universe (N units, or the t_M extended
     positions for pps_wor), so the structure it needs and its sample size are
     checked first, before any transformed population is built."""
-    design, groups = config.design, config.group_sizes
+    design, groups = _sample_design(config), config.group_sizes
     pop, w = inst.population, inst.weights
     _require(pop is not None, f"design {design!r} requires population values")
     if design.startswith("pps"):
@@ -199,13 +208,7 @@ def estimator_spec(inst: Instance, config: DesignConfig) -> EstimatorSpec:
         _require(inst.partition is not None, f"design {design!r} requires a network partition")
     replacement = design.endswith("_wr")
     universe = w.total if design == "pps_wor" else pop.size
-    if groups is not None:
-        _require(config.n is None or config.n == sum(groups), "n must equal sum(group_sizes)")
-        field, size = "sum(group_sizes)", sum(groups)
-    else:
-        field = "n1" if design.startswith("acs") and config.n is None else "n"
-        size = getattr(config, field)
-        _require(size is not None, f"design {design!r} requires {field}")
+    field, size = config._size()
     n = sample_size(size, universe, replacement, field)
 
     if groups is not None:
@@ -497,6 +500,14 @@ def _block_sizes(trials: int) -> list[int]:
     return [base + 1 if b < rem else base for b in range(blocks)]
 
 
+def _run_arguments(trials: int, seed: int) -> tuple[int, int]:
+    """trials >= 1 and seed >= 0 as exact ints (as_index): checked where a run starts."""
+    trials, seed = as_index(trials, "trials"), as_index(seed, "seed")
+    _require(trials >= 1, f"trials must be >= 1, got {trials}")
+    _require(seed >= 0, f"seed must be >= 0, got {seed}")
+    return trials, seed
+
+
 def simulate_blocks(
     inst: Instance, config: DesignConfig, trials: int, seed: int
 ) -> list[tuple[int, float, float]]:
@@ -508,8 +519,7 @@ def simulate_blocks(
     key-sort path, n indices otherwise) holds at most CHUNK_ELEMENTS
     elements, so memory does not grow with trials.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials, seed = _run_arguments(trials, seed)
     spec = estimator_spec(inst, config)
     values = np.asarray(spec.values, dtype=float)
     table = None if spec.weight_sizes is None else _alias_table(spec.weight_sizes)
@@ -517,7 +527,7 @@ def simulate_blocks(
     step = max(1, CHUNK_ELEMENTS // (spec.universe if sorts_keys else spec.n))
     out = []
     for b, size in enumerate(_block_sizes(trials)):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(b,)))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
         rows = (min(step, size - start) for start in range(0, size, step))
         chunks = (_block_values(spec, values, rng, r, table) for r in rows)
         out.append(functools.reduce(_merge_moments, map(_moments, chunks)))
@@ -619,11 +629,10 @@ def run_monte_carlo(
     too_few_trials = se_mean is None or (theo.variance is not None and se_var is None)
     verdict = not too_few_trials and all(v for v in checks.values() if v is not None)
 
-    point = mean
     if spec.estimand == "mean":
-        normalizations = {"mean": point, "total": point * inst.population.size}
+        normalizations = {"mean": mean, "total": mean * inst.population.size}
     elif spec.estimand == "total":
-        normalizations = {"total": point, "mean": point / inst.population.size}
+        normalizations = {"total": mean, "mean": mean / inst.population.size}
     else:
         normalizations = None
 
@@ -645,16 +654,13 @@ def run_monte_carlo(
 # ---------------------------------------------------------------------------
 # Relative efficiency (WOR vs WR).
 
-_PAIRS = {
-    "srs": ("srs", "srs_wr"),
-    "srs_wr": ("srs", "srs_wr"),
-    "pps_wr": ("pps_wor", "pps_wr"),
-    "pps_wor": ("pps_wor", "pps_wr"),
-    "acs": ("acs", "acs_wr"),
-    "acs_wr": ("acs", "acs_wr"),
-}
+# Each sample design's (without replacement, with replacement) pair.
+_PAIRS = {d: pair for pair in (("srs", "srs_wr"), ("pps_wor", "pps_wr"), ("acs", "acs_wr"))
+          for d in pair}
 
-DEGENERATE_VARIANCE = 1e-15
+# A variance is zero up to rounding when its square root is at most this share
+# of the largest |transformed value| (some 4500 ulps), the scale of its rounding.
+DEGENERATE_SPREAD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -690,11 +696,9 @@ def relative_efficiency(
 ) -> RelativeEfficiencyReport:
     """Compare the enumerated (preferred) or Monte Carlo WOR/WR variance
     ratio against the predicted finite population correction."""
-    if config.group_sizes is not None:
-        raise ValueError("random-group configs have no WR/WOR pairing")
-    wor_name, wr_name = _PAIRS[config.design]
-    wor_cfg = DesignConfig(wor_name, n=config.n, n1=config.n1)
-    wr_cfg = DesignConfig(wr_name, n=config.n, n1=config.n1)
+    _require(config.group_sizes is None, "random-group configs have no WR/WOR pairing")
+    wor_name, wr_name = _PAIRS[_sample_design(config)]
+    wor_cfg, wr_cfg = (dataclasses.replace(config, design=name) for name in (wor_name, wr_name))
     spec_wor = estimator_spec(inst, wor_cfg)
     predicted = fpc(spec_wor.n, spec_wor.universe)
 
@@ -706,6 +710,7 @@ def relative_efficiency(
     except EnumerationLimitError:
         if seed is None or trials is None:
             raise
+        trials, seed = _run_arguments(trials, seed)
         # The same draws run_monte_carlo makes at these seeds, without its
         # oracle try and its bands, which this report does not use.
         emp_wor = _empirical(simulate_blocks(inst, wor_cfg, trials, seed))
@@ -720,12 +725,13 @@ def relative_efficiency(
             )
         method = "monte_carlo"
 
-    if var_wr <= DEGENERATE_VARIANCE:
+    zero_sd = DEGENERATE_SPREAD * max(map(abs, spec_wor.values))
+    if math.sqrt(var_wr) <= zero_sd:
         ratio = None
-        verdict = var_wor <= DEGENERATE_VARIANCE
+        verdict = math.sqrt(var_wor) <= zero_sd
     else:
         ratio = var_wor / var_wr
-        if method == "enumeration" or var_wor <= DEGENERATE_VARIANCE:
+        if method == "enumeration" or math.sqrt(var_wor) <= zero_sd:
             verdict = tolerances.close(ratio, predicted)
         else:
             se_ratio = abs(ratio) * math.sqrt(

@@ -148,9 +148,9 @@ def test_every_position_map_refuses_a_position_out_of_range_in_one_wording(call)
 
 @pytest.mark.parametrize(
     "counts, words",
-    [((2, -1), "counts must be nonnegative"),
+    [((2, -1), "need at least one count, each >= 0, got -1"),
      ((2, 1.0), "every count must be an integer"),
-     ((), "count vector must have at least one class")],
+     ((), "need at least one count, each >= 0, got none")],
 )
 def test_the_pmfs_refuse_bad_counts_in_the_count_vector_words(counts, words):
     cp = distributions.ClassifiedPopulation((2, 3))

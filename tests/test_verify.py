@@ -776,6 +776,30 @@ class TestRelativeEfficiency:
         assert rep.ratio is None
         assert rep.verdict
 
+    # A variance is judged zero relative to the scale of the values, so a
+    # small-valued population is still checked, and a wrong fpc still fails.
+    @pytest.mark.parametrize("scale", [1e-9, 1e9])
+    def test_scaled_population_is_checked(self, scale):
+        inst = Instance(population=Population(tuple(v * scale for v in (1, 2, 3, 4, 5))))
+        rep = relative_efficiency(inst, DesignConfig("srs", n=2))
+        assert rep.ratio == pytest.approx(0.75, rel=1e-12)
+        assert rep.verdict
+
+    @pytest.mark.parametrize("scale", [1e-9, 1, 1e9])
+    def test_scaled_population_fails_a_wrong_fpc(self, monkeypatch, scale):
+        monkeypatch.setattr(verify, "fpc", lambda n, N: 1.0)
+        inst = Instance(population=Population(tuple(v * scale for v in (1, 2, 3, 4, 5))))
+        rep = relative_efficiency(inst, DesignConfig("srs", n=2))
+        assert rep.ratio == pytest.approx(0.75, rel=1e-12)
+        assert not rep.verdict
+
+    @pytest.mark.parametrize("scale", [1e-9, 1, 1e9])
+    def test_constant_population_is_degenerate(self, scale):
+        inst = Instance(population=Population((3.3 * scale,) * 6))
+        rep = relative_efficiency(inst, DesignConfig("srs", n=2))
+        assert rep.ratio is None
+        assert rep.verdict
+
     def test_rg_has_no_pairing(self):
         with pytest.raises(ValueError):
             relative_efficiency(POP5_INST, DesignConfig("srs", group_sizes=(2, 2)))
