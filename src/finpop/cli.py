@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import multinomial_pmf, mvhyper_pmf
+from .distributions import _multinomial_pmf, _probabilities, mvhyper_pmf
 from .verify import (
     COUNT_DESIGNS,
     DesignConfig,
@@ -112,8 +112,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         replacement = config.design == "counts_wr"
         dist = enumerate_count_distribution(inst.classified, config.n, replacement)
         mean, cov = count_moments(dist)
-        cp, props = inst.classified, inst.classified.proportions
-        pmf = lambda c: multinomial_pmf(c, props) if replacement else mvhyper_pmf(c, cp)
+        cp, props = inst.classified, _probabilities(inst.classified.proportions)
+        # The states are K-long count tuples, so the pmf core skips the
+        # per-state checks of the public multinomial_pmf.
+        pmf = lambda c: _multinomial_pmf(c, props) if replacement else mvhyper_pmf(c, cp)
         record = {
             "design": config.design,
             "n": config.n,

@@ -15,6 +15,8 @@ from .population import (
     NetworkPartition, Population, SizeWeights, as_index, as_indices, check_covers, sample_size,
 )
 
+MAX_UNIVERSE = 2**63  # numpy's int64 draws take values 0 .. 2**63 - 1
+
 
 @dataclass(frozen=True)
 class DrawSequence:
@@ -91,7 +93,11 @@ def srs(N: int, n: int, replacement: bool, rng: np.random.Generator) -> DrawSequ
     Without replacement each draw is uniform among the remaining units
     (partial Fisher-Yates), so every ordered n-tuple of distinct units is
     equally likely.  The pool is kept sparse, as the positions that have
-    moved, so a draw costs O(n) time and memory whatever N is.
+    moved, so a draw costs O(n) time and memory whatever N is.  All n draws
+    come from one bounded-integer call on rng, which takes the same
+    generator steps as n scalar rng.integers calls, so a seed gives the
+    same sample either way.  N may be at most 2**63, the reach of numpy's
+    int64 draws.
     """
     N = as_index(N, "N")
     return _srs(N, sample_size(n, N, replacement), replacement, rng)
@@ -99,13 +105,16 @@ def srs(N: int, n: int, replacement: bool, rng: np.random.Generator) -> DrawSequ
 
 def _srs(N: int, n: int, replacement: bool, rng: np.random.Generator) -> DrawSequence:
     """srs on an N and n already checked by sample_size."""
-    integers = rng.integers
+    if N > MAX_UNIVERSE:
+        raise ValueError(f"cannot draw from {N} units: numpy's int64 draws reach at most 2**63")
     if replacement:
-        return DrawSequence._unchecked(tuple(int(integers(N)) for _ in range(n)), True)
+        return DrawSequence._unchecked(tuple(rng.integers(0, N, size=n).tolist()), True)
+    # Draw k is uniform on 0..N-1-k.  The bounds are uint64 because int64
+    # cannot hold N = 2**63, and numpy would then take them as float64.
+    draws = rng.integers(0, np.arange(N, N - n, -1, dtype=np.uint64)).tolist()
     moved: dict[int, int] = {}  # pool position -> unit, where it is not the identity
     out = []
-    for k in range(N - 1, N - 1 - n, -1):
-        j = int(integers(k + 1))
+    for k, j in zip(range(N - 1, N - 1 - n, -1), draws):
         out.append(moved.get(j, j))
         moved[j] = moved.get(k, k)
     return DrawSequence._unchecked(tuple(out), False)

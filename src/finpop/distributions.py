@@ -99,6 +99,12 @@ def multinomial_pmf(c: Counts, probs: Sequence[float]) -> float:
     p = _probabilities(probs)
     if len(p) != len(counts):
         raise ValueError("probability vector length does not match counts")
+    return _multinomial_pmf(counts, p)
+
+
+def _multinomial_pmf(counts: tuple[int, ...], p: tuple[float, ...]) -> float:
+    """multinomial_pmf on counts and probabilities already checked, of equal
+    length: a caller evaluating many count vectors checks p once."""
     n = sum(counts)
     log_p = math.lgamma(n + 1)
     for a, pk in zip(counts, p):

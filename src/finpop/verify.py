@@ -18,8 +18,8 @@ import numpy as np
 from . import estimators
 from .population import (
     Adjacency, ClassifiedPopulation, NetworkPartition, Population, SizeWeights, as_index,
-    as_indices, check_covers, compute_networks, extend_pps, flatten_networks, pps_ratios,
-    sample_size,
+    as_indices, as_reals, check_covers, compute_networks, extend_pps, flatten_networks,
+    pps_ratios, sample_size,
 )
 from .distributions import fpc
 
@@ -146,12 +146,10 @@ class Instance:
             _require(pop is not None, "adjacency requires population values")
             _require(m.get("threshold") is not None, "adjacency requires a threshold")
             rows = _list_field(m, "adjacency")
-            threshold = m["threshold"]
-            _require(
-                isinstance(threshold, (int, float)) and not isinstance(threshold, bool),
-                f"threshold must be a number, got {threshold!r}",
-            )
-            partition = compute_networks(pop, Adjacency(rows), float(threshold))
+            # A NaN or +inf threshold would make every unit its own network
+            # without a word; a finite threshold above the values says so.
+            (threshold,) = as_reals((m["threshold"],), "threshold")
+            partition = compute_networks(pop, Adjacency(rows), threshold)
         else:
             _require(m.get("threshold") is None, "threshold is read only with adjacency")
         return cls(pop, weights, partition, classified)

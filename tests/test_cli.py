@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from finpop import multinomial_pmf
 from finpop.cli import main
 
 POP5 = {"values": [1, 2, 3, 4, 5]}
@@ -176,6 +177,21 @@ class TestEnumerateCommand:
         assert dist[(1, 1)] == pytest.approx(0.6, abs=1e-12)
         assert dist[(2, 0)] == pytest.approx(0.1, abs=1e-12)
         assert dist[(0, 2)] == pytest.approx(0.3, abs=1e-12)
+
+    def test_multinomial_pmf_column_equals_the_public_pmf(self, tmp_path, capsys):
+        # enumerate checks the proportions once and calls the pmf core per
+        # state; each value must be exactly what multinomial_pmf returns.
+        subgroup_sizes = [3, 4, 5, 6]
+        pop = write(tmp_path, "pop.json", {"subgroup_sizes": subgroup_sizes})
+        code = main(
+            ["enumerate", "--population", pop, "--design", '{"design": "counts_wr", "n": 6}']
+        )
+        assert code == 0
+        record = json.loads(capsys.readouterr().out)
+        props = [s / sum(subgroup_sizes) for s in subgroup_sizes]
+        assert len(record["distribution"]) == 84
+        for entry in record["distribution"]:
+            assert entry["pmf"] == multinomial_pmf(entry["counts"], props)
 
     def test_single_class_distribution(self, tmp_path, capsys):
         pop = write(tmp_path, "pop.json", {"subgroup_sizes": [4]})

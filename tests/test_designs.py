@@ -79,6 +79,35 @@ class TestSrs:
         assert chi2 < 43.82  # chi2.ppf(0.999, df=19)
 
 
+    @pytest.mark.parametrize("replacement", [False, True])
+    @pytest.mark.parametrize("N", [1, 5, 100, 2**32 - 1, 2**32 + 1, 2**53 + 5, 2**63])
+    def test_draws_match_scalar_loop(self, N, replacement):
+        # Reference loop: one scalar rng.integers per draw, over the k + 1
+        # units still in the pool without replacement.  srs must make the
+        # same draws and leave the generator where the loop left it.
+        n = min(N, 7)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            if replacement:
+                old = tuple(int(rng.integers(N)) for _ in range(n))
+            else:
+                pool, out = {}, []
+                for k in range(N - 1, N - 1 - n, -1):
+                    j = int(rng.integers(k + 1))
+                    out.append(pool.get(j, j))
+                    pool[j] = pool.get(k, k)
+                old = tuple(out)
+            new_rng = np.random.default_rng(seed)
+            assert srs(N, n, replacement, new_rng).indices == old
+            assert new_rng.integers(2**63) == rng.integers(2**63)
+
+    @pytest.mark.parametrize("replacement", [False, True])
+    @pytest.mark.parametrize("N", [2**63 + 1, 2**64 - 1, 2**64, 2**70])
+    def test_beyond_int64_draws_is_a_value_error(self, rng, N, replacement):
+        with pytest.raises(ValueError, match="at most 2\\*\\*63"):
+            srs(N, 2, replacement, rng)
+
+
 class TestPpsWr:
     def test_single_unit(self, rng):
         seq = pps_wr(SizeWeights((3,)), 4, rng)
@@ -127,6 +156,12 @@ class TestPpsWorExtended:
         w = SizeWeights((1, 2, 3))
         seq = pps_wor_extended(pop, w, 6, rng)
         assert sorted(seq.indices) == list(range(6))
+
+    def test_sizes_past_int64_draws_are_a_value_error(self, rng):
+        pop = Population((1.0, 2.0))
+        for sizes in [(2**63, 1), (2**63, 2**63), (2**64, 2**64)]:
+            with pytest.raises(ValueError, match="at most 2\\*\\*63"):
+                pps_wor_extended(pop, SizeWeights(sizes), 2, rng)
 
     def test_oversized_draw(self, rng):
         with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ and coerces nothing.
   (verify.DesignConfig); the moment engines refuse a count design in one
   sentence (verify._sample_design);
 - run arguments: trials >= 1 and seed >= 0, exact ints (verify._run_arguments);
-- probability vectors: finite numbers >= 0 summing to 1 (distributions._probabilities).
+- probability vectors: finite numbers >= 0 summing to 1 (distributions._probabilities);
+- the ACS threshold: a finite number, like every real input (population.as_reals).
 
 The closed forms' overflow guard and the estimator's group-size shape check
 are here too: each is one wording from one place.
@@ -248,6 +249,41 @@ def test_the_covariance_refuses_an_empty_vector():
     assert _message(lambda: multinomial_cov((), 2)) == (
         "probabilities must each be >= 0 and sum to 1"
     )
+
+
+# ---------------------------------------------------------------------------
+# The ACS threshold is a real input like the values: finite, not a string or
+# a bool.  A NaN or +inf threshold would make every unit its own network.
+
+ACS_POP = {"values": [1, 3, 5], "adjacency": [[1], [0], []]}
+
+
+def test_a_finite_threshold_groups_the_linked_units():
+    inst = Instance.from_mapping({**ACS_POP, "threshold": 0})
+    assert inst.partition.network_sizes == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "threshold, words",
+    [(math.nan, "threshold must be finite"),
+     (math.inf, "threshold must be finite"),
+     (-math.inf, "threshold must be finite"),
+     (True, "threshold must be numbers, not strings or bools"),
+     ("0", "threshold must be numbers, not strings or bools"),
+     ([0], "threshold must be numbers")],
+)
+def test_a_non_finite_or_non_numeric_threshold_is_refused(threshold, words):
+    assert _message(lambda: Instance.from_mapping({**ACS_POP, "threshold": threshold})) == words
+
+
+def test_the_cli_refuses_a_nan_threshold_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "pop.json"
+    path.write_text('{"values": [1, 3, 5], "adjacency": [[1], [0], []], "threshold": NaN}')
+    code = main(["verify", "--population", str(path), "--design", '{"design": "acs", "n1": 1}',
+                 "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: threshold must be finite\n"
 
 
 # ---------------------------------------------------------------------------
