@@ -8,6 +8,7 @@ Exit codes: 0 all verdicts pass, 2 some verdict fails, 1 usage/config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Optional, Sequence
@@ -72,15 +73,14 @@ def _format_table(record: dict, indent: int = 0) -> str:
 
 
 def _emit(record: dict, args: argparse.Namespace) -> None:
-    if args.format == "table":
-        text = _format_table(record) + "\n"
-    else:
-        text = json.dumps(record, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # Streamed, not built as one string: json.dump writes json.dumps's bytes.
+    out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        if args.format == "table":
+            fh.write(_format_table(record) + "\n")
+        else:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -1,21 +1,27 @@
-"""Two independent verification engines for the closed-form results: an
-exhaustive enumeration oracle (exact moments on small instances) and a
-seeded, block-deterministic Monte Carlo harness, plus report records
-comparing both against the theoretical values."""
+"""Design configs, instances, the seeded, block-deterministic Monte Carlo
+harness and the reports comparing both engines with the closed forms.  The
+enumeration oracle is `finpop.oracle`, re-exported here.  `estimator_spec`
+only resolves; `_closed_form` alone evaluates the closed forms, behind
+`theoretical_moments` and once per `run_monte_carlo`."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import estimators
+# The oracle; its public names are re-exported from here.
+from .oracle import (
+    CHUNK_ELEMENTS, ENUMERATION_LIMIT, EnumerationLimitError, EstimatorSpec, Moments,
+    _merge_moments, _moments, count_distributions_upto, count_moments,
+    enumerate_count_distribution, exact_moments,
+)
 from .population import (
     Adjacency, ClassifiedPopulation, NetworkPartition, Population, SizeWeights, as_index,
     as_indices, as_reals, check_covers, compute_networks, extend_pps, flatten_networks,
@@ -23,11 +29,7 @@ from .population import (
 )
 from .distributions import fpc
 
-ENUMERATION_LIMIT = 10_000_000
 NUM_BLOCKS = 100
-# Most elements in any per-trial temporary of one Monte Carlo draw: 2^14
-# float64s are 128 KiB, which stays in the heap and in L2 cache.
-CHUNK_ELEMENTS = 1 << 14
 # Version of the Monte Carlo draws a seed produces; reports carry it.
 # 1: the original samplers; 2: Floyd sampling for WOR draws with N > 4n;
 # 3: the exact integer alias draw for PPS with replacement; 4: blocks drawn
@@ -36,10 +38,6 @@ RNG_STREAM = 4
 
 COUNT_DESIGNS = ("counts", "counts_wr")
 DESIGN_NAMES = ("srs", "srs_wr", "pps_wr", "pps_wor", "acs", "acs_wr", *COUNT_DESIGNS)
-
-
-class EnumerationLimitError(RuntimeError):
-    """Instance too large for exhaustive enumeration."""
 
 
 @dataclass(frozen=True)
@@ -155,29 +153,6 @@ class Instance:
         return cls(pop, weights, partition, classified)
 
 
-@dataclass(frozen=True)
-class Moments:
-    mean: float
-    variance: Optional[float]
-
-
-@dataclass(frozen=True)
-class EstimatorSpec:
-    """Everything the oracle and the Monte Carlo harness need to realize a
-    (design, estimator) pair: the index universe sampled from, per-index
-    values, optional integer draw weights, and the closed-form moments."""
-
-    tag: str
-    estimand: str
-    universe: int
-    n: int
-    replacement: bool
-    values: tuple[float, ...]
-    weight_sizes: Optional[tuple[int, ...]]
-    group_sizes: Optional[tuple[int, ...]]
-    theoretical: Moments
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
@@ -191,7 +166,8 @@ def _sample_design(config: DesignConfig) -> str:
 
 
 def estimator_spec(inst: Instance, config: DesignConfig) -> EstimatorSpec:
-    """Resolve a design config against an instance.
+    """Resolve a design config against an instance; no closed form is
+    evaluated.
 
     Every design is n draws from one universe (N units, or the t_M extended
     positions for pps_wor), so the structure it needs and its sample size are
@@ -211,165 +187,42 @@ def estimator_spec(inst: Instance, config: DesignConfig) -> EstimatorSpec:
 
     if groups is not None:
         return EstimatorSpec(
-            "rg_variance", "population_variance", universe, n, False, pop.values,
-            None, groups, Moments(pop.s_squared, None),
+            "rg_variance", "population_variance", universe, n, False, pop.values, None, groups
         )
     if design.startswith("srs"):
         return EstimatorSpec(
-            "sample_mean", "mean", universe, n, replacement, pop.values, None, None,
-            Moments(pop.mean, estimators.srs_mean_variance(pop, n, replacement)),
+            "sample_mean", "mean", universe, n, replacement, pop.values, None, None
         )
     if design.startswith("acs"):
         flat = flatten_networks(pop, inst.partition)
-        return EstimatorSpec(
-            "acs_mean", "mean", universe, n, replacement, flat.values, None, None,
-            Moments(pop.mean, estimators.acs_variance(pop, inst.partition, n, replacement)),
-        )
+        return EstimatorSpec("acs_mean", "mean", universe, n, replacement, flat.values, None, None)
     values = pps_ratios(pop, w, range(pop.size)) if replacement else extend_pps(pop, w).values
     return EstimatorSpec(
         "hh_total", "total", universe, n, replacement, values,
         w.sizes if replacement else None, None,
-        Moments(pop.total, estimators.hh_variance(pop, w, n, replacement)),
     )
 
 
-def _check_enumeration_size(spec: EstimatorSpec) -> None:
-    # Multiply only until the count passes the limit: the full count of a
-    # large instance can run to thousands of digits.
-    count = 1
-    for k in range(spec.n):
-        count *= spec.universe if spec.replacement else spec.universe - k
-        if count > ENUMERATION_LIMIT:
-            raise EnumerationLimitError(
-                f"at least {count} ordered outcomes exceed the enumeration limit "
-                f"{ENUMERATION_LIMIT}"
-            )
-
-
-def _disjoint_subsets(pool: tuple[int, ...], sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Every ordered tuple of disjoint subsets of pool with the given sizes,
-    concatenated; each subset is in increasing order."""
-    if len(sizes) == 1:
-        yield from itertools.combinations(pool, sizes[0])
-        return
-    for head in itertools.combinations(pool, sizes[0]):
-        rest = tuple(i for i in pool if i not in head)
-        for tail in _disjoint_subsets(rest, sizes[1:]):
-            yield head + tail
-
-
-def _outcome_chunks(spec: EstimatorSpec) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
-    """(estimates, weights) over the design's unordered outcomes, in chunks of
-    at most CHUNK_ELEMENTS // n outcomes; an outcome's weight is proportional
-    to its probability, and None means all weigh the same.
-
-    Every ordering of a sample is equally likely, so one unordered outcome
-    stands for all of its orderings.  Without replacement that is a subset
-    (n! orderings; with random groups, a tuple of per-group subsets with
-    prod s_k! orderings), and all weigh the same.  With replacement it is a
-    multiset with n! / prod m_j! orderings, each weighing prod Z_i.
-    """
-    values = np.asarray(spec.values, dtype=float)
-    n = spec.n
-    if spec.replacement:
-        sizes = spec.weight_sizes or (1,) * spec.universe
-        total = sum(sizes)
-        probs = np.array([z / total for z in sizes])  # exact integer division: no overflow
-        outcomes = itertools.combinations_with_replacement(range(spec.universe), n)
-    else:
-        outcomes = _disjoint_subsets(tuple(range(spec.universe)), spec.group_sizes or (n,))
-    while True:
-        chunk = itertools.islice(outcomes, max(1, CHUNK_ELEMENTS // n))
-        idx = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.intp).reshape(-1, n)
-        if not len(idx):
-            return
-        weights = None
-        if spec.replacement:
-            # Rows are sorted, so runs[:, j] numbers the copies of idx[:, j]
-            # seen so far and each row's product of runs is prod m_j!.  The
-            # product of (j + 1) / runs[:, j] is n! / prod m_j! and never
-            # exceeds N^n, so it stays finite where n! alone would overflow.
-            runs = np.ones(idx.shape)
-            for j in range(1, n):
-                runs[:, j] = np.where(idx[:, j] == idx[:, j - 1], runs[:, j - 1] + 1, 1)
-            weights = (np.arange(1, n + 1) / runs).prod(axis=1) * probs[idx].prod(axis=1)
-        yield estimators.estimates(values[idx], spec.group_sizes), weights
+def _closed_form(inst: Instance, spec: EstimatorSpec) -> Moments:
+    """Closed-form mean and variance of a resolved spec's estimator."""
+    pop, n, replacement = inst.population, spec.n, spec.replacement
+    if spec.tag == "rg_variance":
+        return Moments(pop.s_squared, None)
+    if spec.tag == "sample_mean":
+        return Moments(pop.mean, estimators.srs_mean_variance(pop, n, replacement))
+    if spec.tag == "acs_mean":
+        return Moments(pop.mean, estimators.acs_variance(pop, inst.partition, n, replacement))
+    return Moments(pop.total, estimators.hh_variance(pop, inst.weights, n, replacement))
 
 
 def enumerate_moments(inst: Instance, config: DesignConfig) -> Moments:
-    """Exact mean and variance of the estimator by summation over every
-    outcome of the design, weighted by its exact probability."""
-    spec = estimator_spec(inst, config)
-    _check_enumeration_size(spec)
-    chunks = itertools.starmap(_moments, _outcome_chunks(spec))
-    total, mean, m2 = functools.reduce(_merge_moments, chunks)
-    return Moments(mean, m2 / total)
+    """Exact mean and variance of the estimator: the oracle on the resolved spec."""
+    return exact_moments(estimator_spec(inst, config))
 
 
 def theoretical_moments(inst: Instance, config: DesignConfig) -> Moments:
     """Closed-form mean and variance of the estimator under the design."""
-    return estimator_spec(inst, config).theoretical
-
-
-# ---------------------------------------------------------------------------
-# Count distributions (sequential-draw probability chain, aggregated by the
-# count vector; exact and independent of the closed-form pmfs).
-
-def count_distributions_upto(
-    cp: ClassifiedPopulation, n: int, replacement: bool
-) -> list[dict[tuple[int, ...], float]]:
-    """Count-vector distribution after t = 1..n sequential draws.
-
-    Evolves the probability of each count state one draw at a time with the
-    per-draw class probabilities, so the result follows the ordered sampling
-    process directly rather than any closed-form pmf.
-    """
-    n = sample_size(n, cp.size, replacement)
-    # The work is the count states visited over all n draws, at least one per
-    # draw; checked per draw, and up front so that a huge n fails at once.
-    if n > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(f"{n} draws exceed the enumeration limit {ENUMERATION_LIMIT}")
-    k = cp.num_groups
-    big_n = cp.size
-    sizes = cp.subgroup_sizes
-    dist: dict[tuple[int, ...], float] = {(0,) * k: 1.0}
-    out = []
-    visited = 0
-    for t in range(n):
-        new: dict[tuple[int, ...], float] = {}
-        remaining_total = big_n if replacement else big_n - t
-        for state, p in dist.items():
-            for j in range(k):
-                avail = sizes[j] if replacement else sizes[j] - state[j]
-                if avail <= 0:
-                    continue
-                q = p * (avail / remaining_total)
-                ns = state[:j] + (state[j] + 1,) + state[j + 1 :]
-                new[ns] = new.get(ns, 0.0) + q
-        visited += len(new)
-        if visited > ENUMERATION_LIMIT:
-            raise EnumerationLimitError(
-                f"count states visited exceed the enumeration limit {ENUMERATION_LIMIT}"
-            )
-        dist = new
-        out.append(dist)
-    return out
-
-
-def enumerate_count_distribution(
-    cp: ClassifiedPopulation, n: int, replacement: bool
-) -> dict[tuple[int, ...], float]:
-    """Exact distribution of the class counts after n sequential draws."""
-    return count_distributions_upto(cp, n, replacement)[-1]
-
-
-def count_moments(dist: Mapping[tuple[int, ...], float]) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance matrix of a count distribution."""
-    states = np.array(list(dist.keys()), dtype=float)
-    probs = np.array(list(dist.values()), dtype=float)
-    mean = probs @ states
-    cov = states.T @ (states * probs[:, None]) - np.outer(mean, mean)
-    return mean, cov
+    return _closed_form(inst, estimator_spec(inst, config))
 
 
 # ---------------------------------------------------------------------------
@@ -465,31 +318,6 @@ def _block_values(
     else:
         idx = _wor_indices(rng, size, spec.universe, spec.n)
     return estimators.estimates(values[idx], spec.group_sizes)
-
-
-def _moments(v: np.ndarray, w: Optional[np.ndarray] = None) -> tuple[float, float, float]:
-    """(weight, mean, sum of squared deviations) of v, each v[i] weighing 1 or w[i]."""
-    weight = len(v) if w is None else float(w.sum())
-    if not weight:  # every weight underflowed to 0: the chunk adds nothing
-        return 0.0, 0.0, 0.0
-    mean = float(v.mean() if w is None else (w * v).sum() / weight)
-    d2 = (v - mean) ** 2
-    return weight, mean, float((d2 if w is None else w * d2).sum())
-
-
-def _merge_moments(
-    a: tuple[float, float, float], b: tuple[float, float, float]
-) -> tuple[float, float, float]:
-    # Chan et al. pairwise update; merged in fixed order for determinism.
-    na, ma, m2a = a
-    nb, mb, m2b = b
-    if not (na and nb):  # a side that weighs nothing adds nothing
-        return a if not nb else b
-    n = na + nb
-    delta = mb - ma
-    mean = ma + delta * nb / n
-    m2 = m2a + m2b + delta * delta * na * nb / n
-    return n, mean, m2
 
 
 def _block_sizes(trials: int) -> list[int]:
@@ -591,6 +419,7 @@ def run_monte_carlo(
     enumeration oracle is run as well and compared at the oracle tolerance.
     """
     spec = estimator_spec(inst, config)
+    theo = _closed_form(inst, spec)
     empirical = _empirical(simulate_blocks(inst, config, trials, seed))
     mean, variance = empirical["mean"], empirical["variance"]
     se_mean = empirical["standard_error_mean"]
@@ -601,7 +430,6 @@ def run_monte_carlo(
     except EnumerationLimitError as exc:
         enum, refused = None, str(exc)
 
-    theo = spec.theoretical
     k = tolerances.se_multiplier
     no_variance = None if theo.variance is not None else "the estimator has no closed-form variance"
     reasons = {

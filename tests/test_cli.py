@@ -301,3 +301,30 @@ def test_oracle_refused_on_a_huge_ordered_count(tmp_path, capsys):
     for name in ("enumerated_mean_matches", "enumerated_variance_matches"):
         assert report["checks"][name] is None
         assert "exceed the enumeration limit" in report["skipped"][name]
+
+
+# The report is streamed to stdout or to --out: both get the same bytes, and
+# the JSON reads as json.dumps(record, indent=2) and a newline.
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize(
+    "command, population, design, extra",
+    [
+        ("verify", POP5, {"design": "srs", "n": 2}, ["--trials", "2000", "--seed", "3"]),
+        ("compare", POP_PPS, {"design": "pps_wor", "n": 2}, []),
+        ("enumerate", POP_ACS, {"design": "acs", "n1": 2}, []),
+        ("enumerate", POP_COUNTS, {"design": "counts", "n": 2}, []),
+    ],
+)
+def test_stdout_and_out_file_get_the_same_bytes(
+    tmp_path, capsys, fmt, command, population, design, extra
+):
+    pop = write(tmp_path, "pop.json", population)
+    argv = [command, "--population", pop, "--design", json.dumps(design), "--format", fmt, *extra]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("utf-8")
+    if fmt == "json":
+        assert printed == json.dumps(json.loads(printed), indent=2) + "\n"

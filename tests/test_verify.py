@@ -32,7 +32,7 @@ from finpop import (
     srs_mean_variance,
     theoretical_moments,
 )
-from finpop import estimators, verify
+from finpop import estimators, oracle, verify
 from finpop.verify import (
     Moments,
     _alias_indices,
@@ -205,11 +205,11 @@ ORACLE_CASES = [
 
 
 class TestOracleMatchesOrderedWalk:
-    @pytest.mark.parametrize("chunk", [1, verify.CHUNK_ELEMENTS])
+    @pytest.mark.parametrize("chunk", [1, oracle.CHUNK_ELEMENTS])
     @pytest.mark.parametrize("inst, cfg", ORACLE_CASES)
     def test_matches_reference(self, monkeypatch, chunk, inst, cfg):
         # CHUNK_ELEMENTS = 1 makes every outcome a chunk of its own.
-        monkeypatch.setattr(verify, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(oracle, "CHUNK_ELEMENTS", chunk)
         got, ref = enumerate_moments(inst, cfg), ordered_reference(inst, cfg)
         assert Tolerances().close(got.mean, ref.mean)
         assert Tolerances().close(got.variance, ref.variance)
@@ -723,20 +723,20 @@ class TestOneMomentReduction:
     @pytest.mark.parametrize("inst, cfg", ORACLE_CASES)
     def test_oracle_walks_the_outcomes_once(self, monkeypatch, inst, cfg):
         walks = []
-        outcome_chunks = verify._outcome_chunks
+        outcome_chunks = oracle._outcome_chunks
 
         def counted(spec):
             walks.append(spec)
             yield from outcome_chunks(spec)
 
-        monkeypatch.setattr(verify, "_outcome_chunks", counted)
+        monkeypatch.setattr(oracle, "_outcome_chunks", counted)
         enumerate_moments(inst, cfg)
         assert len(walks) == 1
 
     def test_chunk_whose_weights_underflow_adds_nothing(self, monkeypatch):
         # Every outcome of the three small units weighs about 1e-600, which is
         # 0.0; with one outcome per chunk, whole chunks weigh nothing.
-        monkeypatch.setattr(verify, "CHUNK_ELEMENTS", 2)
+        monkeypatch.setattr(oracle, "CHUNK_ELEMENTS", 2)
         inst = Instance(
             population=Population((1e-300, 1e-300, 1e-300, 1.0)),
             weights=SizeWeights((1, 1, 1, 10**300)),
