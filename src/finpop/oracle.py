@@ -7,14 +7,15 @@ no code with them or with the samplers.  It imports `estimators.estimates`,
 the population rules and numpy: no sampler, nothing from `designs` or
 `verify`, no `fpc` and no closed-form variance (`tests/test_oracle.py`
 enforces both the imports and the behaviour).  The Monte Carlo harness in
-`verify` imports its moment fold from here, never the reverse."""
+`verify` imports its moment fold and its float-range refusal from here,
+never the reverse."""
 
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -120,9 +121,32 @@ def exact_moments(spec: EstimatorSpec) -> Moments:
     """Exact mean and variance of a resolved spec's estimator by summation
     over every outcome of the design, weighted by its exact probability."""
     _check_enumeration_size(spec)
-    chunks = itertools.starmap(_moments, _outcome_chunks(spec))
-    total, mean, m2 = functools.reduce(_merge_moments, chunks)
+    total, mean, m2 = _fold(itertools.starmap(_moments, _outcome_chunks(spec)))
     return Moments(mean, m2 / total)
+
+
+def _out_of_float_range(kind: str, flag: int = 0) -> None:
+    """The engines' one refusal of an estimate or moment out of the float range."""
+    raise ValueError(f"estimates and their moments must stay within the float range ({kind})")
+
+
+def _float_traps() -> np.errstate:
+    """numpy's overflow and invalid-value traps, each raising
+    _out_of_float_range's ValueError instead of giving inf or NaN with a
+    RuntimeWarning."""
+    return np.errstate(over="call", invalid="call", call=_out_of_float_range)
+
+
+def _fold(moments: Iterable[tuple[float, float, float]]) -> tuple[float, float, float]:
+    """(weight, mean, M2) accumulators merged in order: the one fold of the
+    oracle's chunks, of each Monte Carlo block's chunks and of the blocks.
+    Chunks computed as the fold pulls them are trapped by _float_traps;
+    the merge's Python floats, which numpy does not trap, are checked last."""
+    with _float_traps():
+        acc = functools.reduce(_merge_moments, moments)
+    if not np.isfinite(acc).all():
+        _out_of_float_range("merged moments")
+    return acc
 
 
 def _moments(v: np.ndarray, w: Optional[np.ndarray] = None) -> tuple[float, float, float]:

@@ -8,18 +8,19 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import estimators
 # The oracle; its public names are re-exported from here.
 from .oracle import (
-    CHUNK_ELEMENTS, ENUMERATION_LIMIT, EnumerationLimitError, EstimatorSpec, Moments,
-    _merge_moments, _moments, count_distributions_upto, count_moments,
+    CHUNK_ELEMENTS, ENUMERATION_LIMIT, EnumerationLimitError, EstimatorSpec, Moments, _fold,
+    _float_traps, _merge_moments, _moments, count_distributions_upto, count_moments,
     enumerate_count_distribution, exact_moments,
 )
 from .population import (
@@ -33,8 +34,14 @@ NUM_BLOCKS = 100
 # Version of the Monte Carlo draws a seed produces; reports carry it.
 # 1: the original samplers; 2: Floyd sampling for WOR draws with N > 4n;
 # 3: the exact integer alias draw for PPS with replacement; 4: blocks drawn
-# in chunks of at most CHUNK_ELEMENTS.
-RNG_STREAM = 4
+# in chunks of at most CHUNK_ELEMENTS; 5: designs with few ordered outcomes
+# draw one outcome code per trial from a table of them.
+RNG_STREAM = 5
+# A run tabulates its design's ordered outcomes when there are at most
+# _TABLE_CAP of them (512 KiB of float64 estimates) and the run has at least
+# _TABLE_RATIO trials per outcome to pay for building the table.
+_TABLE_CAP = 1 << 16
+_TABLE_RATIO = 16
 
 COUNT_DESIGNS = ("counts", "counts_wr")
 DESIGN_NAMES = ("srs", "srs_wr", "pps_wr", "pps_wor", "acs", "acs_wr", *COUNT_DESIGNS)
@@ -288,7 +295,7 @@ def _alias_table(sizes: Sequence[int]) -> AliasTable:
 
 
 def _alias_indices(
-    rng: np.random.Generator, table: AliasTable, shape: tuple[int, int]
+    rng: np.random.Generator, table: AliasTable, shape: tuple[int, ...]
 ) -> np.ndarray:
     """Independent draws from an _alias_table: column i uniform, then unit i
     if a uniform u in range(t_M) falls below keep[i], else alias[i]."""
@@ -311,6 +318,7 @@ def _block_values(
     size: int,
     table: Optional[AliasTable],
 ) -> np.ndarray:
+    """Estimates of size trials, each drawing its n indices: the per-draw path."""
     if table is not None:
         idx = _alias_indices(rng, table, (size, spec.n))
     elif spec.replacement:
@@ -318,6 +326,89 @@ def _block_values(
     else:
         idx = _wor_indices(rng, size, spec.universe, spec.n)
     return estimators.estimates(values[idx], spec.group_sizes)
+
+
+def _tabulated_outcomes(spec: EstimatorSpec, trials: int) -> Optional[int]:
+    """The number K of the design's ordered outcomes if simulate_blocks draws
+    each trial from a table of them, else None.
+
+    K must be at most _TABLE_CAP and trials at least _TABLE_RATIO * K.  For
+    pps_wr, K * t_M^n must also fit in int64, the bound of the exact alias
+    draw over the outcomes' masses.  K is multiplied out only until it passes
+    the cap, since the full count of a large design can run to thousands of
+    digits; a universe of 1 has a single outcome whatever n is."""
+    cap = min(_TABLE_CAP, trials // _TABLE_RATIO)
+    if cap < 1:
+        return None
+    count = 1
+    for k in range(spec.n if spec.universe > 1 else 0):
+        count *= spec.universe if spec.replacement else spec.universe - k
+        if count > cap:
+            return None
+    if spec.weight_sizes is not None:
+        total = sum(spec.weight_sizes)
+        # total^63 alone passes the int64 range for any total > 1.
+        if total > 1 and (spec.n >= 63 or count * total**spec.n > np.iinfo(np.int64).max):
+            return None
+    return count
+
+
+def _outcome_table(
+    spec: EstimatorSpec, values: np.ndarray, count: int
+) -> tuple[np.ndarray, Optional[AliasTable]]:
+    """(estimates, alias) over the design's count ordered outcomes, which are
+    itertools.permutations(range(U), n) without replacement and
+    itertools.product(range(U), repeat=n) with it, in that order.
+
+    estimates[k] is the estimator on outcome k.  All outcomes are equally
+    likely except under pps_wr, where alias is an _alias_table over their
+    integer masses prod Z_i; these sum to t_M^n, so the draw stays exact.
+    The outcomes are evaluated in chunks of at most CHUNK_ELEMENTS // n."""
+    n, units = spec.n, range(spec.universe)
+    outcomes = (
+        itertools.product(units, repeat=n) if spec.replacement
+        else itertools.permutations(units, n)
+    )
+    sizes = None if spec.weight_sizes is None else np.array(spec.weight_sizes, dtype=np.int64)
+    table, masses = np.empty(count), []
+    step = max(1, CHUNK_ELEMENTS // n)
+    for start in range(0, count, step):
+        chunk = itertools.islice(outcomes, step)
+        idx = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.intp).reshape(-1, n)
+        table[start : start + len(idx)] = estimators.estimates(values[idx], spec.group_sizes)
+        if sizes is not None:
+            masses += sizes[idx].prod(axis=1).tolist()
+    return table, None if sizes is None else _alias_table(masses)
+
+
+def _table_values(
+    table: np.ndarray, alias: Optional[AliasTable], rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Estimates of size trials, each one outcome code and one table lookup."""
+    if alias is None:
+        return table[rng.integers(0, len(table), size=size)]
+    return table[_alias_indices(rng, alias, (size,))]
+
+
+def _chunk_draw(
+    spec: EstimatorSpec, trials: int
+) -> tuple[Callable[[np.random.Generator, int], np.ndarray], int]:
+    """The per-run choice of how simulate_blocks draws a chunk of trials:
+    (draw, width), where draw(rng, size) returns size estimates and width is
+    the widest per-trial temporary, which sets the chunk size.
+
+    A design with few ordered outcomes is tabulated once (_tabulated_outcomes)
+    and a trial is one code: width 1.  Otherwise each trial draws its n
+    indices: by the alias table over units for pps_wr, uniformly with
+    replacement, or by _wor_indices, whose key sort holds universe keys."""
+    values = np.asarray(spec.values, dtype=float)
+    count = _tabulated_outcomes(spec, trials)
+    if count is not None:
+        return functools.partial(_table_values, *_outcome_table(spec, values, count)), 1
+    alias = None if spec.weight_sizes is None else _alias_table(spec.weight_sizes)
+    sorts_keys = not spec.replacement and _sorts_keys(spec.universe, spec.n)
+    draw = functools.partial(_block_values, spec, values, table=alias)
+    return draw, spec.universe if sorts_keys else spec.n
 
 
 def _block_sizes(trials: int) -> list[int]:
@@ -340,23 +431,26 @@ def simulate_blocks(
     """Per-block (count, mean, sum of squared deviations) accumulators.
 
     Block b draws from a stream derived deterministically from (seed, b), so
-    any execution order reproduces the same accumulators.  Each block is
-    drawn in chunks whose widest per-trial temporary (universe keys on the
-    key-sort path, n indices otherwise) holds at most CHUNK_ELEMENTS
-    elements, so memory does not grow with trials.
+    any execution order reproduces the same accumulators.  How a trial is
+    drawn is chosen once per run (_chunk_draw): a design with at most
+    min(_TABLE_CAP, trials // _TABLE_RATIO) ordered outcomes is tabulated
+    first, and each trial is then one outcome code and one lookup; any other
+    design draws n indices per trial.  Each block is drawn in chunks whose
+    widest per-trial temporary (one code on the table path, universe keys on
+    the key-sort path, n indices otherwise) holds at most CHUNK_ELEMENTS
+    elements, so memory does not grow with trials.  An estimate or moment
+    out of the float range is refused with a ValueError.
     """
     trials, seed = _run_arguments(trials, seed)
     spec = estimator_spec(inst, config)
-    values = np.asarray(spec.values, dtype=float)
-    table = None if spec.weight_sizes is None else _alias_table(spec.weight_sizes)
-    sorts_keys = not spec.replacement and _sorts_keys(spec.universe, spec.n)
-    step = max(1, CHUNK_ELEMENTS // (spec.universe if sorts_keys else spec.n))
+    with _float_traps():
+        draw, width = _chunk_draw(spec, trials)
+    step = max(1, CHUNK_ELEMENTS // width)
     out = []
     for b, size in enumerate(_block_sizes(trials)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
         rows = (min(step, size - start) for start in range(0, size, step))
-        chunks = (_block_values(spec, values, rng, r, table) for r in rows)
-        out.append(functools.reduce(_merge_moments, map(_moments, chunks)))
+        out.append(_fold(_moments(draw(rng, r)) for r in rows))
     return out
 
 
@@ -364,7 +458,7 @@ def _empirical(blocks: list[tuple[int, float, float]]) -> dict:
     """Merged mean and variance of simulate_blocks accumulators, with the
     standard error of the mean and, from the spread of the per-block
     variances, of the variance (None where too few trials give none)."""
-    count, mean, m2 = functools.reduce(_merge_moments, blocks)
+    count, mean, m2 = _fold(blocks)
     variance = m2 / (count - 1) if count > 1 else 0.0
     block_vars = [b_m2 / (b_n - 1) for b_n, _, b_m2 in blocks if b_n > 1]
     se_var = None

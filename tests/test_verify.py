@@ -186,6 +186,14 @@ SKEWED_ACS = Instance(
 )
 SKEWED_INST = Instance(population=SKEWED)
 SEVEN = Instance(population=Population((2.0, 9.5, -1.0, 4.0, 4.0, 13.0, 0.25)))
+# Twelve units keep n = 3 on the key-sort path (N <= 4n) with perm(12, 3) = 1320
+# and 12^3 ordered outcomes, past the outcome table's reach at 20_150 trials.
+TWELVE_POP = Population((2.0, 9.5, -1.0, 4.0, 4.0, 13.0, 0.25, 7.5, -3.0, 6.0, 1.0, 8.25))
+TWELVE = Instance(population=TWELVE_POP)
+TWELVE_ACS = Instance(
+    population=TWELVE_POP,
+    partition=NetworkPartition.from_assignment(TWELVE_POP, [0, 0, 1, 2, 2, 2, 3, 4, 5, 5, 6, 7]),
+)
 
 ORACLE_CASES = [
     (SKEWED_INST, DesignConfig("srs", n=3)),
@@ -485,7 +493,7 @@ class TestVerdictNeedsBands:
 class TestRngStream:
     def test_monte_carlo_report(self):
         rep = run_monte_carlo(PPS_INST, DesignConfig("pps_wr", n=2), 1000, 5)
-        assert verify.RNG_STREAM == 4
+        assert verify.RNG_STREAM == 5
         assert json.loads(rep.to_json())["rng_stream"] == verify.RNG_STREAM
 
     def test_relative_efficiency_reports(self):
@@ -551,14 +559,16 @@ class TestBlockKernel:
             old = old_wor_indices(np.random.default_rng(seed), size, universe, n)
             np.testing.assert_array_equal(new, old)
 
+    # Every case has more ordered outcomes than 20_150 trials tabulate, so
+    # each trial draws its n indices, as the old kernel did.
     @pytest.mark.parametrize(
         "inst, cfg",
         [
-            (SEVEN, DesignConfig("srs", n=3)),  # key sort: N <= 4n
+            (TWELVE, DesignConfig("srs", n=3)),  # key sort: N <= 4n
             (FORTY, DesignConfig("srs", n=6)),  # Floyd: N > 4n
             (SKEWED_INST, DesignConfig("srs_wr", n=4)),
-            (SKEWED_ACS, DesignConfig("acs", n1=2)),
-            (SKEWED_ACS, DesignConfig("acs_wr", n1=3)),
+            (TWELVE_ACS, DesignConfig("acs", n1=3)),  # key sort
+            (TWELVE_ACS, DesignConfig("acs_wr", n1=3)),
             (SKEWED_PPS, DesignConfig("pps_wor", n=3)),
             (SEVEN, DesignConfig("srs", group_sizes=(2, 2, 2))),
             (FORTY, DesignConfig("srs", group_sizes=(2, 2, 2))),
@@ -567,6 +577,7 @@ class TestBlockKernel:
         ],
     )
     def test_blocks_match_old_kernel(self, inst, cfg):
+        assert verify._tabulated_outcomes(estimator_spec(inst, cfg), 20_150) is None
         new = simulate_blocks(inst, cfg, 20_150, 31)
         old = old_blocks(inst, cfg, 20_150, 31)
         assert [b[0] for b in new] == [b[0] for b in old]
@@ -625,8 +636,9 @@ class TestChunkedBlocks:
         "inst, cfg",
         [
             (FORTY, DesignConfig("srs_wr", n=4)),
-            (SKEWED_ACS, DesignConfig("acs_wr", n1=3)),
-            (SEVEN, DesignConfig("srs", n=3)),  # key sort: N <= 4n
+            (SKEWED_ACS, DesignConfig("acs_wr", n1=3)),  # outcome table
+            (SEVEN, DesignConfig("srs", n=3)),  # outcome table
+            (TWELVE, DesignConfig("srs", n=3)),  # key sort: N <= 4n
             (SEVEN, DesignConfig("srs", group_sizes=(2, 2, 2))),
         ],
     )
@@ -660,19 +672,57 @@ def hand_merge(a, b):
     return n, ma + delta * nb / n, m2a + m2b + delta * delta * na * nb / n
 
 
+def ordered_outcomes(spec):
+    units = range(spec.universe)
+    if spec.replacement:
+        return list(itertools.product(units, repeat=spec.n))
+    return list(itertools.permutations(units, spec.n))
+
+
+def outcome_masses(spec, outcomes):
+    """Each ordered outcome's probability times t_M^n: prod Z_i, or 1."""
+    sizes = spec.weight_sizes or (1,) * spec.universe
+    return [math.prod(sizes[i] for i in o) if spec.replacement else 1 for o in outcomes]
+
+
+def hand_tabulated_draw(spec):
+    """A chunk draw over every ordered outcome, tabulated by hand: one code
+    per trial, uniform, or for pps_wr by the alias draw over prod Z_i."""
+    outcomes = ordered_outcomes(spec)
+    table = estimators.estimates(np.asarray(spec.values)[np.array(outcomes)], spec.group_sizes)
+    if spec.weight_sizes is None:
+        return lambda rng, rows: table[rng.integers(0, len(outcomes), size=rows)]
+    alias = _alias_table(outcome_masses(spec, outcomes))
+    return lambda rng, rows: table[_alias_indices(rng, alias, (rows,))]
+
+
+def hand_tabulates(spec, trials):
+    """The outcome-table rule, with the ordered outcomes counted in full."""
+    count = spec.universe**spec.n if spec.replacement else math.perm(spec.universe, spec.n)
+    fits = spec.weight_sizes is None or count * sum(spec.weight_sizes) ** spec.n < 2**63
+    return count <= min(verify._TABLE_CAP, trials // verify._TABLE_RATIO) and fits
+
+
 def hand_folded_blocks(inst, cfg, trials, seed):
     """simulate_blocks with its chunks folded by a hand-written loop."""
     spec = estimator_spec(inst, cfg)
     values = np.asarray(spec.values, dtype=float)
-    table = None if spec.weight_sizes is None else _alias_table(spec.weight_sizes)
-    sorts_keys = not spec.replacement and verify._sorts_keys(spec.universe, spec.n)
-    step = max(1, verify.CHUNK_ELEMENTS // (spec.universe if sorts_keys else spec.n))
+    if hand_tabulates(spec, trials):
+        draw, step = hand_tabulated_draw(spec), verify.CHUNK_ELEMENTS
+    else:
+        table = None if spec.weight_sizes is None else _alias_table(spec.weight_sizes)
+        sorts_keys = not spec.replacement and verify._sorts_keys(spec.universe, spec.n)
+        step = max(1, verify.CHUNK_ELEMENTS // (spec.universe if sorts_keys else spec.n))
+
+        def draw(rng, rows):
+            return verify._block_values(spec, values, rng, rows, table)
+
     out = []
     for b, size in enumerate(verify._block_sizes(trials)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
         acc = None
         for start in range(0, size, step):
-            v = verify._block_values(spec, values, rng, min(step, size - start), table)
+            v = draw(rng, min(step, size - start))
             m = float(v.mean())
             chunk = (len(v), m, float(((v - m) ** 2).sum()))
             acc = chunk if acc is None else hand_merge(acc, chunk)
@@ -703,18 +753,27 @@ def hand_folded_empirical(blocks):
 
 class TestOneMomentReduction:
     # The oracle, the Monte Carlo chunks and the block merge all reduce
-    # through _moments and _merge_moments.
+    # through _moments and _merge_moments.  Two cases draw from the outcome
+    # table at 20_150 trials, and every case per draw at 150.
     @pytest.mark.parametrize("chunk", [64, verify.CHUNK_ELEMENTS])
     @pytest.mark.parametrize("trials", [150, 20_150])
     @pytest.mark.parametrize(
-        "inst, cfg",
+        "inst, cfg, tabulated_at_20150",
         [
-            (FORTY, DesignConfig("srs_wr", n=4)),
-            (SEVEN, DesignConfig("srs", n=3)),  # key sort: N <= 4n
-            (SEVEN, DesignConfig("srs", group_sizes=(2, 2, 2))),
+            (FORTY, DesignConfig("srs_wr", n=4), False),
+            (TWELVE, DesignConfig("srs", n=3), False),  # key sort: N <= 4n
+            (SEVEN, DesignConfig("srs", group_sizes=(2, 2, 2)), False),
+            (SEVEN, DesignConfig("srs", n=3), True),
+            (SKEWED_PPS, DesignConfig("pps_wr", n=3), True),  # alias draw over outcomes
         ],
     )
-    def test_monte_carlo_matches_hand_folds_bit_for_bit(self, monkeypatch, chunk, trials, inst, cfg):
+    def test_monte_carlo_matches_hand_folds_bit_for_bit(
+        self, monkeypatch, chunk, trials, inst, cfg, tabulated_at_20150
+    ):
+        spec = estimator_spec(inst, cfg)
+        tabulated = tabulated_at_20150 and trials == 20_150
+        assert hand_tabulates(spec, trials) == tabulated
+        assert (verify._tabulated_outcomes(spec, trials) is not None) == tabulated
         monkeypatch.setattr(verify, "CHUNK_ELEMENTS", chunk)
         blocks = simulate_blocks(inst, cfg, trials, 17)
         assert blocks == hand_folded_blocks(inst, cfg, trials, 17)
@@ -904,3 +963,207 @@ def test_oracle_weights_stay_finite(inst, config):
     enum, theo = enumerate_moments(inst, config), theoretical_moments(inst, config)
     tol = Tolerances()
     assert tol.close(enum.mean, theo.mean) and tol.close(enum.variance, theo.variance)
+
+
+# ---------------------------------------------------------------------------
+# The outcome table: a design with few ordered outcomes is tabulated once per
+# run, and each trial draws one outcome code.
+
+TABLE_CASES = [
+    (SKEWED_INST, DesignConfig("srs", n=3)),
+    (SKEWED_INST, DesignConfig("srs_wr", n=3)),
+    (SKEWED_PPS, DesignConfig("pps_wr", n=3)),
+    (TIED_PPS, DesignConfig("pps_wr", n=4)),
+    (PPS_INST, DesignConfig("pps_wor", n=3)),
+    (SKEWED_ACS, DesignConfig("acs", n1=3)),
+    (SKEWED_ACS, DesignConfig("acs_wr", n1=3)),
+    (SEVEN, DesignConfig("srs", group_sizes=(1, 2, 2))),
+]
+
+
+def outcome_table(inst, cfg):
+    spec = estimator_spec(inst, cfg)
+    count = verify._tabulated_outcomes(spec, 2**40)
+    table, alias = verify._outcome_table(spec, np.asarray(spec.values, dtype=float), count)
+    return spec, table, alias
+
+
+class TestOutcomeTable:
+    @pytest.mark.parametrize("inst, cfg", TABLE_CASES)
+    def test_table_is_the_estimator_on_every_ordered_outcome(self, inst, cfg):
+        spec, table, alias = outcome_table(inst, cfg)
+        outcomes = ordered_outcomes(spec)
+        assert len(table) == len(outcomes)
+        drawn = np.asarray(spec.values, dtype=float)[np.array(outcomes)]
+        np.testing.assert_array_equal(table, estimators.estimates(drawn, spec.group_sizes))
+        for code, outcome in enumerate(outcomes):
+            assert math.isclose(table[code], _reference_value(spec, outcome),
+                                rel_tol=1e-12, abs_tol=1e-12)
+        if spec.weight_sizes is None:
+            assert alias is None
+            return
+        # The alias table holds each outcome's mass prod Z_i exactly.
+        total, keep, column_alias = alias
+        assert total == sum(spec.weight_sizes) ** spec.n
+        mass = keep.tolist()
+        for column in range(len(outcomes)):
+            mass[int(column_alias[column])] += total - int(keep[column])
+        assert mass == [m * len(outcomes) for m in outcome_masses(spec, outcomes)]
+
+    @pytest.mark.parametrize("inst, cfg", TABLE_CASES)
+    def test_table_moments_match_the_oracle_and_the_closed_forms(self, inst, cfg):
+        spec, table, _ = outcome_table(inst, cfg)
+        weights = outcome_masses(spec, ordered_outcomes(spec))
+        total = math.fsum(weights)
+        mean = math.fsum(w * v for w, v in zip(weights, table.tolist())) / total
+        variance = math.fsum(w * (v - mean) ** 2 for w, v in zip(weights, table.tolist())) / total
+        tol = Tolerances()
+        enum, theo = enumerate_moments(inst, cfg), theoretical_moments(inst, cfg)
+        assert tol.close(mean, enum.mean) and tol.close(mean, theo.mean)
+        assert tol.close(variance, enum.variance)
+        if theo.variance is not None:
+            assert tol.close(variance, theo.variance)
+
+    @pytest.mark.parametrize(
+        "inst, cfg", [(SKEWED_INST, DesignConfig("srs", n=3)), (SKEWED_PPS, DesignConfig("pps_wr", n=3))]
+    )
+    def test_drawn_codes_chi_square(self, inst, cfg):
+        # A table of the codes themselves returns the drawn codes.
+        spec, table, alias = outcome_table(inst, cfg)
+        draws = 200_000
+        codes = verify._table_values(
+            np.arange(len(table), dtype=float), alias, np.random.default_rng(2025), draws
+        ).astype(np.int64)
+        observed = np.bincount(codes, minlength=len(table))
+        masses = np.asarray(outcome_masses(spec, ordered_outcomes(spec)), dtype=float)
+        expected = draws * masses / masses.sum()
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        df = len(table) - 1
+        # Normal approximation to chi-square at this df; 4 sd is p < 1e-4.
+        assert (chi2 - df) / math.sqrt(2 * df) < 4.0
+
+    @pytest.mark.parametrize(
+        "inst, cfg", [(SKEWED_INST, DesignConfig("srs", n=3)), (SKEWED_PPS, DesignConfig("pps_wr", n=3))]
+    )
+    def test_same_seed_same_blocks(self, inst, cfg):
+        assert verify._tabulated_outcomes(estimator_spec(inst, cfg), 20_150) is not None
+        first = simulate_blocks(inst, cfg, 20_150, 8)
+        assert simulate_blocks(inst, cfg, 20_150, 8) == first
+        assert simulate_blocks(inst, cfg, 20_150, 9) != first
+
+    def test_rule_edges(self, monkeypatch):
+        ratio = verify._TABLE_RATIO
+        assert verify._TABLE_CAP == 2**16
+        at_cap = estimator_spec(Instance(population=Population(tuple(range(16)))),
+                                DesignConfig("srs_wr", n=4))
+        assert verify._tabulated_outcomes(at_cap, ratio * 2**16) == 2**16
+        assert verify._tabulated_outcomes(at_cap, ratio * 2**16 - 1) is None
+        past_cap = estimator_spec(Instance(population=Population(tuple(range(2**16 + 1)))),
+                                  DesignConfig("srs", n=1))
+        assert verify._tabulated_outcomes(past_cap, 2**40) is None
+        # perm(6, 3) = 120 outcomes: tabulated from 120 * ratio trials on.
+        small = estimator_spec(SKEWED_INST, DesignConfig("srs", n=3))
+        assert verify._tabulated_outcomes(small, ratio * 120) == 120
+        assert verify._tabulated_outcomes(small, ratio * 120 - 1) is None
+        builds = []
+        real = verify._outcome_table
+        monkeypatch.setattr(verify, "_outcome_table", lambda *a: builds.append(a) or real(*a))
+        simulate_blocks(SKEWED_INST, DesignConfig("srs", n=3), ratio * 120 - 1, 1)
+        assert builds == []
+        simulate_blocks(SKEWED_INST, DesignConfig("srs", n=3), ratio * 120, 1)
+        assert len(builds) == 1
+
+    def test_a_universe_of_one_has_one_outcome(self):
+        spec = estimator_spec(Instance(population=Population((3.0,))), DesignConfig("srs_wr", n=500))
+        assert verify._tabulated_outcomes(spec, 10**6) == 1
+        blocks = simulate_blocks(Instance(population=Population((3.0,))),
+                                 DesignConfig("srs_wr", n=500), 10**6, 1)
+        assert all(m == 3.0 and m2 == 0.0 for _, m, m2 in blocks)
+
+    @pytest.mark.parametrize(
+        "sizes, tabulated",
+        [((1, 2**61 - 1), True), ((1, 2**62 - 1), False), ((2**62, 2**62), False)],
+    )
+    def test_pps_wr_masses_must_fit_in_int64(self, sizes, tabulated):
+        # Two outcomes of one draw: 2 * t_M must fit in int64.
+        inst = Instance(population=Population((1.0, 2.0)), weights=SizeWeights(sizes))
+        spec = estimator_spec(inst, DesignConfig("pps_wr", n=1))
+        assert (verify._tabulated_outcomes(spec, 10**6) is not None) == tabulated
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_sizes_past_int64_still_refused(self, n):
+        inst = Instance(population=Population((1.0, 2.0)), weights=SizeWeights((2**62, 2**62)))
+        with pytest.raises(ValueError, match="int64"):
+            simulate_blocks(inst, DesignConfig("pps_wr", n=n), 10**6, 1)
+
+    def test_memory_at_the_cap_is_flat_in_trials(self):
+        inst = Instance(population=Population(tuple(float(i % 7) for i in range(16))))
+        cfg = DesignConfig("srs_wr", n=4)  # 16^4 = 2^16 outcomes
+        least = verify._TABLE_RATIO * 2**16  # the fewest trials that tabulate them
+        peaks = []
+        for trials in (least, 8 * least):
+            assert verify._tabulated_outcomes(estimator_spec(inst, cfg), trials) == 2**16
+            tracemalloc.start()
+            try:
+                simulate_blocks(inst, cfg, trials, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 2 * 2**20
+        assert peaks[1] < peaks[0] + 2**18
+
+
+# ---------------------------------------------------------------------------
+# An estimate or moment out of the float range is refused with one ValueError
+# by both engines, on both Monte Carlo paths, and no warning escapes.
+
+# 40 units: one draw has 40 outcomes, tabulated at 1000 trials but not at 200.
+OPPOSED_INST = Instance(population=Population((1e308, -1e308) + (0.0,) * 38))
+HUGE_INST = Instance(population=Population((1e308, 1e308, 1.0)))
+
+
+@pytest.mark.filterwarnings("error")
+class TestFloatRange:
+    @pytest.mark.parametrize("design", ["srs", "srs_wr"])
+    def test_oracle_refuses_an_infinite_variance(self, design):
+        with pytest.raises(ValueError, match="float range"):
+            enumerate_moments(OPPOSED_INST, DesignConfig(design, n=1))
+
+    @pytest.mark.parametrize("design", ["srs", "srs_wr"])
+    @pytest.mark.parametrize("trials", [200, 1000])  # per draw; outcome table
+    def test_monte_carlo_refuses_an_infinite_variance(self, design, trials):
+        cfg = DesignConfig(design, n=1)
+        spec = estimator_spec(OPPOSED_INST, cfg)
+        assert (verify._tabulated_outcomes(spec, trials) is None) == (trials == 200)
+        with pytest.raises(ValueError, match="float range"):
+            simulate_blocks(OPPOSED_INST, cfg, trials, 1)
+        with pytest.raises(ValueError, match="float range"):
+            run_monte_carlo(OPPOSED_INST, cfg, trials, 1)
+
+    @pytest.mark.parametrize("trials", [100, 1000])  # per draw; outcome table
+    def test_an_overflowing_estimate_is_refused(self, monkeypatch, trials):
+        cfg = DesignConfig("srs_wr", n=2)  # 1e308 + 1e308 overflows the row sum
+        with pytest.raises(ValueError, match="float range"):
+            enumerate_moments(HUGE_INST, cfg)
+        # The table build refuses before any trial is drawn.
+        monkeypatch.setattr(verify, "_table_values", None)
+        with pytest.raises(ValueError, match="float range"):
+            simulate_blocks(HUGE_INST, cfg, trials, 1)
+
+    def test_a_merge_past_the_float_range_is_refused(self):
+        with pytest.raises(ValueError, match="float range"):
+            oracle._fold([(1, 1e200, 0.0), (1, -1e200, 0.0)])
+
+    @pytest.mark.parametrize("command", ["verify", "compare", "enumerate"])
+    @pytest.mark.parametrize("design", ["srs", "srs_wr"])
+    def test_the_cli_exits_1(self, tmp_path, capsys, command, design):
+        from finpop.cli import main
+
+        path = tmp_path / "pop.json"
+        path.write_text(json.dumps({"values": [1e308, -1e308]}))
+        extra = ("--seed", "1", "--trials", "1000") if command != "enumerate" else ()
+        code = main([command, "--population", str(path), "--design",
+                     json.dumps({"design": design, "n": 1}), *extra])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "float range" in err and err.count("\n") == 1
