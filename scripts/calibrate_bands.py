@@ -9,13 +9,14 @@ failures and prints the false-fail rate with a two-sided 95% Clopper-Pearson
 interval.  The random-group case has no closed-form variance, so its
 variance band reads n/a.
 
-    PYTHONPATH=src python scripts/calibrate_bands.py --seeds 200 --first-seed 1000
+    PYTHONPATH=src python scripts/calibrate_bands.py --seeds 200
     PYTHONPATH=src python scripts/calibrate_bands.py --seeds 3 --trials 20000 --json
 
 The cases are the five N = 8 verify shapes of the benchmark's mc_narrow
 workload, at its trial counts, and one shape that draws every trial's
 indices (srs, N = 40, n = 6).  Their populations are fixed; only the seed
-varies.  --trials runs every case at one trial count instead.
+varies, from FIRST_SEED up.  --trials runs every case at one trial count
+instead.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from finpop import DesignConfig, Instance, Tolerances, __version__, run_monte_ca
 from finpop.verify import RNG_STREAM
 
 BANDS = ("empirical_mean_within_band", "empirical_variance_within_band")
+FIRST_SEED = 1000
 
 
 def _normal(r: random.Random, n: int) -> dict:
@@ -93,13 +95,13 @@ def clopper_pearson(x: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
     return lower, upper
 
 
-def calibrate(seeds: int, first_seed: int, trials: int | None) -> list[dict]:
+def calibrate(seeds: int, trials: int | None) -> list[dict]:
     rows = []
     for name, inst, cfg, case_trials in cases():
         runs = trials or case_trials
         fails = dict.fromkeys(BANDS, 0)
         checked = dict.fromkeys(BANDS, 0)
-        for seed in range(first_seed, first_seed + seeds):
+        for seed in range(FIRST_SEED, FIRST_SEED + seeds):
             checks = run_monte_carlo(inst, cfg, runs, seed, Tolerances()).checks
             for band in BANDS:
                 if checks[band] is not None:
@@ -118,7 +120,6 @@ def calibrate(seeds: int, first_seed: int, trials: int | None) -> list[dict]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, default=200, help="seeds per case (K)")
-    parser.add_argument("--first-seed", type=int, default=1000)
     parser.add_argument("--trials", type=int, default=None,
                         help="trials for every case (default: each case's own)")
     parser.add_argument("--json", action="store_true", help="print one JSON object instead")
@@ -126,9 +127,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
 
-    rows = calibrate(args.seeds, args.first_seed, args.trials)
+    rows = calibrate(args.seeds, args.trials)
     header = {"finpop": __version__, "rng_stream": RNG_STREAM, "seeds": args.seeds,
-              "first_seed": args.first_seed, "se_multiplier": Tolerances().se_multiplier}
+              "first_seed": FIRST_SEED, "se_multiplier": Tolerances().se_multiplier}
     if args.json:
         print(json.dumps({**header, "rows": rows}))
         return 0

@@ -90,14 +90,25 @@ def _estimate(drawn: list[float], group_sizes: Optional[Sequence[int]] = None) -
     if max(map(abs, drawn)) < _SAFE_MAGNITUDE:
         value = float(estimates(row, group_sizes)[0])
     else:
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                value = float(estimates(row, group_sizes)[0])
-        except FloatingPointError as exc:
-            raise ValueError(f"estimate out of the float range: {exc}") from exc
+        with _float_traps():
+            value = float(estimates(row, group_sizes)[0])
     if not math.isfinite(value):
-        raise ValueError(f"estimate out of the float range: {value}")
+        _out_of_float_range(str(value))
     return value
+
+
+def _out_of_float_range(kind: str, flag: int = 0) -> None:
+    """The one refusal of an estimate, or of its moments, out of the float
+    range: by the public per-sample calls, the oracle and the Monte Carlo
+    harness alike."""
+    raise ValueError(f"estimate out of the float range ({kind})")
+
+
+def _float_traps() -> np.errstate:
+    """numpy's overflow and invalid-value traps, each raising
+    _out_of_float_range's ValueError instead of giving inf or NaN with a
+    RuntimeWarning."""
+    return np.errstate(over="call", invalid="call", call=_out_of_float_range)
 
 
 def _design_variance(sigma2: float, n: int, universe: int, replacement: bool, name: str) -> float:

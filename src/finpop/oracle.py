@@ -3,12 +3,12 @@ outcome of a resolved design, and the exact count-state chain of the count
 distributions.
 
 The oracle is one of two engines that check the closed forms, so it shares
-no code with them or with the samplers.  It imports `estimators.estimates`,
-the population rules and numpy: no sampler, nothing from `designs` or
-`verify`, no `fpc` and no closed-form variance (`tests/test_oracle.py`
-enforces both the imports and the behaviour).  The Monte Carlo harness in
-`verify` imports its moment fold and its float-range refusal from here,
-never the reverse."""
+no code with them or with the samplers.  It imports `estimators.estimates`
+and the float-range refusal the public calls share, the population rules
+and numpy: no sampler, nothing from `designs` or `verify`, no `fpc` and no
+closed-form variance (`tests/test_oracle.py` enforces both the imports and
+the behaviour).  The Monte Carlo harness in
+`verify` imports its moment fold from here, never the reverse."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .estimators import estimates
+from .estimators import _float_traps, _out_of_float_range, estimates
 from .population import ClassifiedPopulation, sample_size
 
 ENUMERATION_LIMIT = 10_000_000
@@ -123,18 +123,6 @@ def exact_moments(spec: EstimatorSpec) -> Moments:
     _check_enumeration_size(spec)
     total, mean, m2 = _fold(itertools.starmap(_moments, _outcome_chunks(spec)))
     return Moments(mean, m2 / total)
-
-
-def _out_of_float_range(kind: str, flag: int = 0) -> None:
-    """The engines' one refusal of an estimate or moment out of the float range."""
-    raise ValueError(f"estimates and their moments must stay within the float range ({kind})")
-
-
-def _float_traps() -> np.errstate:
-    """numpy's overflow and invalid-value traps, each raising
-    _out_of_float_range's ValueError instead of giving inf or NaN with a
-    RuntimeWarning."""
-    return np.errstate(over="call", invalid="call", call=_out_of_float_range)
 
 
 def _fold(moments: Iterable[tuple[float, float, float]]) -> tuple[float, float, float]:

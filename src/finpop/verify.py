@@ -20,7 +20,7 @@ from . import estimators
 # The oracle; its public names are re-exported from here.
 from .oracle import (
     CHUNK_ELEMENTS, ENUMERATION_LIMIT, EnumerationLimitError, EstimatorSpec, Moments, _fold,
-    _float_traps, _merge_moments, _moments, count_distributions_upto, count_moments,
+    _merge_moments, _moments, count_distributions_upto, count_moments,
     enumerate_count_distribution, exact_moments,
 )
 from .population import (
@@ -39,8 +39,12 @@ NUM_BLOCKS = 100
 RNG_STREAM = 5
 # A run tabulates its design's ordered outcomes when there are at most
 # _TABLE_CAP of them (512 KiB of float64 estimates) and the run has at least
-# _TABLE_RATIO trials per outcome to pay for building the table.
+# _TABLE_RATIO trials per outcome to pay for building the table.  pps_wr
+# stops at _PPS_WR_TABLE_CAP: its alias table over the outcomes is built from
+# Python ints, about 150 bytes an outcome, which this cap keeps within the
+# memory of a uniform table at _TABLE_CAP.
 _TABLE_CAP = 1 << 16
+_PPS_WR_TABLE_CAP = 1 << 12
 _TABLE_RATIO = 16
 
 COUNT_DESIGNS = ("counts", "counts_wr")
@@ -333,11 +337,13 @@ def _tabulated_outcomes(spec: EstimatorSpec, trials: int) -> Optional[int]:
     each trial from a table of them, else None.
 
     K must be at most _TABLE_CAP and trials at least _TABLE_RATIO * K.  For
-    pps_wr, K * t_M^n must also fit in int64, the bound of the exact alias
-    draw over the outcomes' masses.  K is multiplied out only until it passes
-    the cap, since the full count of a large design can run to thousands of
-    digits; a universe of 1 has a single outcome whatever n is."""
-    cap = min(_TABLE_CAP, trials // _TABLE_RATIO)
+    pps_wr, K must be at most _PPS_WR_TABLE_CAP instead, and K * t_M^n must
+    fit in int64, the bound of the exact alias draw over the outcomes'
+    masses.  K is multiplied out only until it passes the cap, since the
+    full count of a large design can run to thousands of digits; a universe
+    of 1 has a single outcome whatever n is."""
+    weighted = spec.weight_sizes is not None
+    cap = min(_PPS_WR_TABLE_CAP if weighted else _TABLE_CAP, trials // _TABLE_RATIO)
     if cap < 1:
         return None
     count = 1
@@ -345,7 +351,7 @@ def _tabulated_outcomes(spec: EstimatorSpec, trials: int) -> Optional[int]:
         count *= spec.universe if spec.replacement else spec.universe - k
         if count > cap:
             return None
-    if spec.weight_sizes is not None:
+    if weighted:
         total = sum(spec.weight_sizes)
         # total^63 alone passes the int64 range for any total > 1.
         if total > 1 and (spec.n >= 63 or count * total**spec.n > np.iinfo(np.int64).max):
@@ -433,8 +439,9 @@ def simulate_blocks(
     Block b draws from a stream derived deterministically from (seed, b), so
     any execution order reproduces the same accumulators.  How a trial is
     drawn is chosen once per run (_chunk_draw): a design with at most
-    min(_TABLE_CAP, trials // _TABLE_RATIO) ordered outcomes is tabulated
-    first, and each trial is then one outcome code and one lookup; any other
+    min(_TABLE_CAP, trials // _TABLE_RATIO) ordered outcomes
+    (_PPS_WR_TABLE_CAP for pps_wr) is tabulated first, and each trial is
+    then one outcome code and one lookup; any other
     design draws n indices per trial.  Each block is drawn in chunks whose
     widest per-trial temporary (one code on the table path, universe keys on
     the key-sort path, n indices otherwise) holds at most CHUNK_ELEMENTS
@@ -443,7 +450,7 @@ def simulate_blocks(
     """
     trials, seed = _run_arguments(trials, seed)
     spec = estimator_spec(inst, config)
-    with _float_traps():
+    with estimators._float_traps():
         draw, width = _chunk_draw(spec, trials)
     step = max(1, CHUNK_ELEMENTS // width)
     out = []

@@ -47,10 +47,11 @@ def test_oracle_imports_only_estimates_the_population_rules_and_numpy():
             if node.level == 0:
                 assert node.module.split(".")[0] in allowed_absolute, node.module
                 continue
-            # Relative: from .estimators only estimates, else the population rules.
+            # Relative: from .estimators only estimates and the float-range
+            # refusal it shares with the public calls, else the population rules.
             assert node.level == 1 and node.module in ("estimators", "population"), node.module
             if node.module == "estimators":
-                assert names == {"estimates"}, names
+                assert names == {"estimates", "_float_traps", "_out_of_float_range"}, names
             seen.add(node.module)
     assert seen == {"estimators", "population"}
 

@@ -699,8 +699,10 @@ def hand_tabulated_draw(spec):
 def hand_tabulates(spec, trials):
     """The outcome-table rule, with the ordered outcomes counted in full."""
     count = spec.universe**spec.n if spec.replacement else math.perm(spec.universe, spec.n)
-    fits = spec.weight_sizes is None or count * sum(spec.weight_sizes) ** spec.n < 2**63
-    return count <= min(verify._TABLE_CAP, trials // verify._TABLE_RATIO) and fits
+    if spec.weight_sizes is None:
+        return count <= min(verify._TABLE_CAP, trials // verify._TABLE_RATIO)
+    fits = count * sum(spec.weight_sizes) ** spec.n < 2**63
+    return count <= min(verify._PPS_WR_TABLE_CAP, trials // verify._TABLE_RATIO) and fits
 
 
 def hand_folded_blocks(inst, cfg, trials, seed):
@@ -988,6 +990,13 @@ def outcome_table(inst, cfg):
     return spec, table, alias
 
 
+# 64 units with sizes 1-4: pps_wr with n = 2 has 2^12 outcomes, at its cap.
+PPS_CAP_INST = Instance(
+    population=Population(tuple(float(i % 7) for i in range(64))),
+    weights=SizeWeights(tuple(1 + i % 4 for i in range(64))),
+)
+
+
 class TestOutcomeTable:
     @pytest.mark.parametrize("inst, cfg", TABLE_CASES)
     def test_table_is_the_estimator_on_every_ordered_outcome(self, inst, cfg):
@@ -1073,6 +1082,15 @@ class TestOutcomeTable:
         simulate_blocks(SKEWED_INST, DesignConfig("srs", n=3), ratio * 120, 1)
         assert len(builds) == 1
 
+    def test_pps_wr_rule_edges(self):
+        ratio, cap = verify._TABLE_RATIO, verify._PPS_WR_TABLE_CAP
+        assert cap == 2**12
+        at_cap = estimator_spec(PPS_CAP_INST, DesignConfig("pps_wr", n=2))  # 64^2 outcomes
+        assert verify._tabulated_outcomes(at_cap, ratio * cap) == cap
+        assert verify._tabulated_outcomes(at_cap, ratio * cap - 1) is None
+        past_cap = estimator_spec(PPS_CAP_INST, DesignConfig("pps_wr", n=3))
+        assert verify._tabulated_outcomes(past_cap, 2**40) is None
+
     def test_a_universe_of_one_has_one_outcome(self):
         spec = estimator_spec(Instance(population=Population((3.0,))), DesignConfig("srs_wr", n=500))
         assert verify._tabulated_outcomes(spec, 10**6) == 1
@@ -1110,6 +1128,25 @@ class TestOutcomeTable:
             finally:
                 tracemalloc.stop()
         assert max(peaks) < 2 * 2**20
+        assert peaks[1] < peaks[0] + 2**18
+
+    def test_pps_wr_memory_at_its_cap_stays_within_a_uniform_table(self):
+        # The alias table over the pps_wr outcomes is built from Python ints,
+        # about 150 bytes an outcome, so pps_wr stops at a smaller cap, where
+        # its peak stays below that of a uniform table at _TABLE_CAP.
+        cfg = DesignConfig("pps_wr", n=2)
+        least = verify._TABLE_RATIO * 2**12
+        simulate_blocks(PPS_CAP_INST, cfg, 100, 1)  # numpy.random loads outside the trace
+        peaks = []
+        for trials in (least, 8 * least):
+            assert verify._tabulated_outcomes(estimator_spec(PPS_CAP_INST, cfg), trials) == 2**12
+            tracemalloc.start()
+            try:
+                simulate_blocks(PPS_CAP_INST, cfg, trials, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 2**20
         assert peaks[1] < peaks[0] + 2**18
 
 
