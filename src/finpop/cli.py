@@ -13,8 +13,6 @@ import json
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .distributions import _multinomial_pmf, _probabilities, mvhyper_pmf
 from .verify import (
     COUNT_DESIGNS,
@@ -74,13 +72,17 @@ def _format_table(record: dict, indent: int = 0) -> str:
 
 def _emit(record: dict, args: argparse.Namespace) -> None:
     # Streamed, not built as one string: json.dump writes json.dumps's bytes.
-    out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
-    with out as fh:
-        if args.format == "table":
-            fh.write(_format_table(record) + "\n")
-        else:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
+    try:
+        out = (open(args.out, "w", encoding="utf-8") if args.out
+               else contextlib.nullcontext(sys.stdout))
+        with out as fh:
+            if args.format == "table":
+                fh.write(_format_table(record) + "\n")
+            else:
+                json.dump(record, fh, indent=2)
+                fh.write("\n")
+    except OSError as exc:
+        raise CliError(f"cannot write {args.out or 'stdout'}: {exc}") from exc
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -167,14 +169,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     handlers = {"verify": cmd_verify, "compare": cmd_compare, "enumerate": cmd_enumerate}
     try:
-        # Values too large for double precision are refused, not reported as
-        # infinite or NaN moments: numpy raises FloatingPointError on overflow.
-        with np.errstate(over="raise", invalid="raise"):
-            return handlers[args.command](args)
+        return handlers[args.command](args)
     except (CliError, EnumerationLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OverflowError, FloatingPointError) as exc:
+    except OverflowError as exc:  # math.fsum's "intermediate overflow in fsum"
         print(f"error: numbers out of range: {exc}", file=sys.stderr)
         return 1
 

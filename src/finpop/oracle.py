@@ -54,17 +54,31 @@ class EstimatorSpec:
     group_sizes: Optional[tuple[int, ...]]
 
 
-def _check_enumeration_size(spec: EstimatorSpec) -> None:
-    # Multiply only until the count passes the limit: the full count of a
-    # large instance can run to thousands of digits.
+def _ordered_outcomes(spec: EstimatorSpec, cap: int) -> int:
+    """The design's U^n (with replacement) or U!/(U-n)! ordered outcomes, or
+    the first partial product past cap: a full count can run to thousands of
+    digits.  A universe of 1 has a single outcome whatever n is."""
     count = 1
-    for k in range(spec.n):
+    for k in range(spec.n if spec.universe > 1 else 0):
         count *= spec.universe if spec.replacement else spec.universe - k
-        if count > ENUMERATION_LIMIT:
-            raise EnumerationLimitError(
-                f"at least {count} ordered outcomes exceed the enumeration limit "
-                f"{ENUMERATION_LIMIT}"
-            )
+        if count > cap:
+            break
+    return count
+
+
+def _check_draws(n: int) -> None:
+    """Refuse more than ENUMERATION_LIMIT draws: the work of an exact walk grows with n."""
+    if n > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(f"{n} draws exceed the enumeration limit {ENUMERATION_LIMIT}")
+
+
+def _check_enumeration_size(spec: EstimatorSpec) -> None:
+    count = _ordered_outcomes(spec, ENUMERATION_LIMIT)
+    if count > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(f"at least {count} ordered outcomes exceed the enumeration "
+                                    f"limit {ENUMERATION_LIMIT}")
+    # A universe of 1 has one outcome, but each row of it is n draws long.
+    _check_draws(spec.n)
 
 
 def _disjoint_subsets(pool: tuple[int, ...], sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -106,13 +120,13 @@ def _outcome_chunks(spec: EstimatorSpec) -> Iterator[tuple[np.ndarray, Optional[
             return
         weights = None
         if spec.replacement:
-            # Rows are sorted, so runs[:, j] numbers the copies of idx[:, j]
-            # seen so far and each row's product of runs is prod m_j!.  The
-            # product of (j + 1) / runs[:, j] is n! / prod m_j! and never
+            # Rows are sorted, so runs[:, j] (j + 1 less the column where its
+            # run starts) numbers the copies of idx[:, j] seen so far, and the
+            # product of (j + 1) / runs[:, j] is n! / prod m_j!.  It never
             # exceeds N^n, so it stays finite where n! alone would overflow.
-            runs = np.ones(idx.shape)
-            for j in range(1, n):
-                runs[:, j] = np.where(idx[:, j] == idx[:, j - 1], runs[:, j - 1] + 1, 1)
+            pos = np.arange(n)
+            starts = np.where(np.diff(idx, axis=1, prepend=-1) != 0, pos, 0)
+            runs = pos + 1 - np.maximum.accumulate(starts, axis=1)
             weights = (np.arange(1, n + 1) / runs).prod(axis=1) * probs[idx].prod(axis=1)
         yield estimates(values[idx], spec.group_sizes), weights
 
@@ -178,8 +192,7 @@ def count_distributions_upto(
     n = sample_size(n, cp.size, replacement)
     # The work is the count states visited over all n draws, at least one per
     # draw; checked per draw, and up front so that a huge n fails at once.
-    if n > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(f"{n} draws exceed the enumeration limit {ENUMERATION_LIMIT}")
+    _check_draws(n)
     k = cp.num_groups
     big_n = cp.size
     sizes = cp.subgroup_sizes

@@ -7,7 +7,6 @@ only resolves; `_closed_form` alone evaluates the closed forms, behind
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -20,7 +19,7 @@ from . import estimators
 # The oracle; its public names are re-exported from here.
 from .oracle import (
     CHUNK_ELEMENTS, ENUMERATION_LIMIT, EnumerationLimitError, EstimatorSpec, Moments, _fold,
-    _merge_moments, _moments, count_distributions_upto, count_moments,
+    _merge_moments, _moments, _ordered_outcomes, count_distributions_upto, count_moments,
     enumerate_count_distribution, exact_moments,
 )
 from .population import (
@@ -240,24 +239,25 @@ def theoretical_moments(inst: Instance, config: DesignConfig) -> Moments:
 # Monte Carlo harness.
 
 def _sorts_keys(universe: int, n: int) -> bool:
-    """Whether _wor_indices draws n of universe by sorting universe keys."""
+    """Whether a run without replacement draws n of universe by key sort
+    rather than by Floyd; _chunk_draw alone asks."""
     return universe <= 4 * n
 
 
-def _wor_indices(rng: np.random.Generator, size: int, universe: int, n: int) -> np.ndarray:
+def _key_sort_indices(rng: np.random.Generator, size: int, universe: int, n: int) -> np.ndarray:
     """(size, n) array whose rows are independent uniform ordered draws of n
-    distinct indices from range(universe).
+    distinct indices from range(universe), by sorting universe random keys
+    per row: fastest up to universe = 4n, where it costs O(n log n)."""
+    keys = rng.random((size, universe))
+    return np.argsort(keys, axis=1)[:, :n]
 
-    Up to universe = 4n, sorting universe random keys per row is fastest and
-    costs O(n log n) there.  Above it, batched Floyd sampling (Bentley &
-    Floyd, CACM 1987) draws each row's n-subset in n vectorized steps, and a
-    per-row permutation makes the order uniform too, which random groups need.
-    Floyd fills a draw-major (n, size) buffer, so each step reads and writes
-    contiguous rows.
-    """
-    if _sorts_keys(universe, n):
-        keys = rng.random((size, universe))
-        return np.argsort(keys, axis=1)[:, :n]
+
+def _floyd_indices(rng: np.random.Generator, size: int, universe: int, n: int) -> np.ndarray:
+    """Rows drawn as by _key_sort_indices, by batched Floyd sampling (Bentley
+    & Floyd, CACM 1987): each row's n-subset in n vectorized steps, then a
+    per-row permutation makes the order uniform too, which random groups
+    need.  Floyd fills a draw-major (n, size) buffer, so each step reads and
+    writes contiguous rows."""
     idx = np.empty((n, size), dtype=np.int64)
     for j in range(n):
         top = universe - n + j
@@ -315,23 +315,6 @@ def _alias_indices(
     return idx
 
 
-def _block_values(
-    spec: EstimatorSpec,
-    values: np.ndarray,
-    rng: np.random.Generator,
-    size: int,
-    table: Optional[AliasTable],
-) -> np.ndarray:
-    """Estimates of size trials, each drawing its n indices: the per-draw path."""
-    if table is not None:
-        idx = _alias_indices(rng, table, (size, spec.n))
-    elif spec.replacement:
-        idx = rng.integers(0, spec.universe, size=(size, spec.n))
-    else:
-        idx = _wor_indices(rng, size, spec.universe, spec.n)
-    return estimators.estimates(values[idx], spec.group_sizes)
-
-
 def _tabulated_outcomes(spec: EstimatorSpec, trials: int) -> Optional[int]:
     """The number K of the design's ordered outcomes if simulate_blocks draws
     each trial from a table of them, else None.
@@ -339,18 +322,13 @@ def _tabulated_outcomes(spec: EstimatorSpec, trials: int) -> Optional[int]:
     K must be at most _TABLE_CAP and trials at least _TABLE_RATIO * K.  For
     pps_wr, K must be at most _PPS_WR_TABLE_CAP instead, and K * t_M^n must
     fit in int64, the bound of the exact alias draw over the outcomes'
-    masses.  K is multiplied out only until it passes the cap, since the
-    full count of a large design can run to thousands of digits; a universe
-    of 1 has a single outcome whatever n is."""
+    masses.  K is counted by oracle._ordered_outcomes, only until it passes
+    the cap."""
     weighted = spec.weight_sizes is not None
     cap = min(_PPS_WR_TABLE_CAP if weighted else _TABLE_CAP, trials // _TABLE_RATIO)
-    if cap < 1:
+    count = _ordered_outcomes(spec, cap)
+    if count > cap:
         return None
-    count = 1
-    for k in range(spec.n if spec.universe > 1 else 0):
-        count *= spec.universe if spec.replacement else spec.universe - k
-        if count > cap:
-            return None
     if weighted:
         total = sum(spec.weight_sizes)
         # total^63 alone passes the int64 range for any total > 1.
@@ -387,34 +365,37 @@ def _outcome_table(
     return table, None if sizes is None else _alias_table(masses)
 
 
-def _table_values(
-    table: np.ndarray, alias: Optional[AliasTable], rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Estimates of size trials, each one outcome code and one table lookup."""
-    if alias is None:
-        return table[rng.integers(0, len(table), size=size)]
-    return table[_alias_indices(rng, alias, (size,))]
-
-
 def _chunk_draw(
     spec: EstimatorSpec, trials: int
 ) -> tuple[Callable[[np.random.Generator, int], np.ndarray], int]:
-    """The per-run choice of how simulate_blocks draws a chunk of trials:
-    (draw, width), where draw(rng, size) returns size estimates and width is
-    the widest per-trial temporary, which sets the chunk size.
+    """The one choice of how a simulate_blocks run draws: (draw, width), one
+    of six kernels bound for the whole run.  draw(rng, size) returns size
+    estimates; width, the widest per-trial temporary, sets the chunk size.
 
-    A design with few ordered outcomes is tabulated once (_tabulated_outcomes)
-    and a trial is one code: width 1.  Otherwise each trial draws its n
-    indices: by the alias table over units for pps_wr, uniformly with
-    replacement, or by _wor_indices, whose key sort holds universe keys."""
+    A design with few ordered outcomes (_tabulated_outcomes) is tabulated
+    once, and a trial is one code, uniform or by the alias table over the
+    outcomes for pps_wr: width 1.  Otherwise a trial draws n indices: by the
+    alias table over units for pps_wr, uniformly with replacement, or by key
+    sort (universe keys wide) or Floyd."""
     values = np.asarray(spec.values, dtype=float)
+    n, universe, groups = spec.n, spec.universe, spec.group_sizes
     count = _tabulated_outcomes(spec, trials)
     if count is not None:
-        return functools.partial(_table_values, *_outcome_table(spec, values, count)), 1
-    alias = None if spec.weight_sizes is None else _alias_table(spec.weight_sizes)
-    sorts_keys = not spec.replacement and _sorts_keys(spec.universe, spec.n)
-    draw = functools.partial(_block_values, spec, values, table=alias)
-    return draw, spec.universe if sorts_keys else spec.n
+        table, alias = _outcome_table(spec, values, count)
+        if alias is None:
+            return lambda rng, size: table[rng.integers(0, count, size=size)], 1
+        return lambda rng, size: table[_alias_indices(rng, alias, (size,))], 1
+    width = n
+    if spec.weight_sizes is not None:
+        units = _alias_table(spec.weight_sizes)
+        indices = lambda rng, size: _alias_indices(rng, units, (size, n))
+    elif spec.replacement:
+        indices = lambda rng, size: rng.integers(0, universe, size=(size, n))
+    elif _sorts_keys(universe, n):
+        indices, width = (lambda rng, size: _key_sort_indices(rng, size, universe, n)), universe
+    else:
+        indices = lambda rng, size: _floyd_indices(rng, size, universe, n)
+    return lambda rng, size: estimators.estimates(values[indices(rng, size)], groups), width
 
 
 def _block_sizes(trials: int) -> list[int]:

@@ -51,6 +51,27 @@ def test_a_count_design_outside_enumerate_is_one_error_line(tmp_path):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_an_unwritable_out_is_one_error_line(tmp_path, where):
+    out = tmp_path / "no" / "such" / "x.json" if where == "missing-directory" else tmp_path
+    proc = run_cli(tmp_path, "enumerate", {"values": [1, 2, 3]}, {"design": "srs", "n": 2},
+                   "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: cannot write {out}: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_an_fsum_overflow_is_one_error_line(tmp_path):
+    # math.fsum raises OverflowError on the population's own sums.
+    proc = run_cli(tmp_path, "verify", {"values": [1e308, 1e308]}, {"design": "srs", "n": 1},
+                   "--seed", "1", "--trials", "200")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: numbers out of range: intermediate overflow in fsum\n"
+
+
 def test_importing_finpop_loads_no_more_of_numpy_random_than_numpy_does():
     # numpy 2 loads numpy.random on first use, some 5 MB of resident memory
     # (numpy 1 loads it with numpy itself).  finpop reaches for it only when

@@ -28,7 +28,9 @@ CLOSED_FORMS = ("srs_mean_variance", "hh_variance", "acs_variance", "rg_pair_exp
 SAMPLERS = {
     "finpop.designs": ("srs", "_srs", "pps_wr", "pps_wor_extended", "acs", "random_group_split"),
     "finpop.distributions": ("sample_counts",),
-    "finpop.verify": ("_wor_indices", "_alias_table", "_alias_indices", "_block_values"),
+    "finpop.verify": (
+        "_key_sort_indices", "_floyd_indices", "_alias_table", "_alias_indices", "_chunk_draw",
+    ),
 }
 FORBIDDEN_NAMES = {"fpc", *CLOSED_FORMS, *(n for names in SAMPLERS.values() for n in names)}
 
@@ -157,8 +159,9 @@ def test_verify_still_offers_every_name():
         NUM_BLOCKS, RNG_STREAM, Adjacency, AliasTable, ClassifiedPopulation, DesignConfig,
         EnumerationLimitError, EstimatorSpec, Instance, MomentReport, Moments,
         NetworkPartition, Population, RelativeEfficiencyReport, SizeWeights, Tolerances,
-        _alias_indices, _alias_table, _block_sizes, _block_values, _empirical, _merge_moments,
-        _run_arguments, _sample_design, _sorts_keys, _wor_indices, as_index, as_indices,
+        _alias_indices, _alias_table, _block_sizes, _chunk_draw, _empirical, _floyd_indices,
+        _key_sort_indices, _merge_moments, _run_arguments, _sample_design, _sorts_keys,
+        _tabulated_outcomes, as_index, as_indices,
         as_reals, check_covers, compute_networks, count_distributions_upto, count_moments,
         enumerate_count_distribution, enumerate_moments, estimator_spec, extend_pps,
         flatten_networks, fpc, pps_ratios, relative_efficiency, run_monte_carlo, sample_size,
@@ -169,5 +172,56 @@ def test_verify_still_offers_every_name():
     # one (as the benchmark's tracer does) is seen through the other.
     for name in ("ENUMERATION_LIMIT", "EnumerationLimitError", "EstimatorSpec", "Moments",
                  "count_distributions_upto", "count_moments", "enumerate_count_distribution",
-                 "_merge_moments"):
+                 "_merge_moments", "_ordered_outcomes"):
         assert getattr(verify, name) is getattr(oracle, name), name
+
+
+def _spec(universe, n, replacement):
+    return oracle.EstimatorSpec(
+        "sample_mean", "mean", universe, n, replacement, (0.0,) * universe, None, None
+    )
+
+
+@pytest.mark.parametrize(
+    "universe, n, replacement, cap, expected",
+    [
+        (5, 3, False, 100, 60),
+        (5, 3, True, 200, 125),
+        (5, 3, False, 59, 60),  # passes the cap at the last factor
+        (5, 3, True, 24, 25),  # 5 * 5: the first partial product past the cap
+        (10, 5000, True, 10**7, 10**8),  # not multiplied out to 10^5000
+        (1, 10**9, True, 0, 1),  # a universe of 1 has one outcome whatever n is
+    ],
+)
+def test_ordered_outcomes_stop_at_the_first_partial_product_past_the_cap(
+    universe, n, replacement, cap, expected
+):
+    assert oracle._ordered_outcomes(_spec(universe, n, replacement), cap) == expected
+
+
+@pytest.mark.parametrize(
+    "universe, n, replacement, message",
+    [
+        (40, 8, False, "at least 78960960 ordered outcomes exceed the enumeration limit 10000000"),
+        (10, 5000, True, "at least 100000000 ordered outcomes exceed the enumeration limit "
+                         "10000000"),
+        (1, 10_000_001, True, "10000001 draws exceed the enumeration limit 10000000"),
+    ],
+)
+def test_enumeration_refusals_word_for_word(universe, n, replacement, message):
+    with pytest.raises(verify.EnumerationLimitError) as info:
+        oracle.exact_moments(_spec(universe, n, replacement))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "inst, cfg",
+    [
+        (Instance(population=Population((1.5,))), DesignConfig("srs_wr", n=10**6)),
+        (Instance(population=Population((1.5,)), weights=SizeWeights((3,))),
+         DesignConfig("pps_wr", n=10**6)),
+    ],
+)
+def test_a_one_unit_design_walks_a_million_draws_at_once(inst, cfg):
+    # A universe of 1 has one ordered outcome, here 10^6 draws long.
+    assert verify.enumerate_moments(inst, cfg) == verify.Moments(1.5, 0.0)

@@ -38,8 +38,9 @@ from finpop.verify import (
     _alias_indices,
     _alias_table,
     _empirical,
+    _floyd_indices,
+    _key_sort_indices,
     _merge_moments,
-    _wor_indices,
     estimator_spec,
     simulate_blocks,
 )
@@ -423,23 +424,29 @@ class TestSkippedReasons:
         assert rep.skipped == {}
 
 
+# Key sort runs up to universe = 4n and Floyd above it; each kernel is
+# checked on both sides of that cutoff.
+WOR_KERNEL_CASES = [
+    (kernel, universe, n)
+    for kernel in (_key_sort_indices, _floyd_indices)
+    for universe, n in [(1, 1), (5, 5), (8, 3), (12, 3), (8, 6), (13, 3), (40, 6), (5000, 10)]
+    if kernel is _floyd_indices or universe < 5000
+]
+
+
 class TestWorIndices:
-    # _wor_indices sorts keys up to universe = 4n and uses Floyd above it;
-    # the cases sit on both sides of that cutoff.
-    @pytest.mark.parametrize(
-        "universe, n",
-        [(1, 1), (5, 5), (8, 3), (12, 3), (8, 6), (13, 3), (40, 6), (5000, 10)],
-    )
-    def test_rows_distinct_and_in_range(self, universe, n):
-        idx = _wor_indices(np.random.default_rng(universe * 100 + n), 3000, universe, n)
+    @pytest.mark.parametrize("kernel, universe, n", WOR_KERNEL_CASES)
+    def test_rows_distinct_and_in_range(self, kernel, universe, n):
+        idx = kernel(np.random.default_rng(universe * 100 + n), 3000, universe, n)
         assert idx.shape == (3000, n)
         assert idx.min() >= 0 and idx.max() < universe
         assert (np.diff(np.sort(idx, axis=1), axis=1) > 0).all()
 
+    @pytest.mark.parametrize("kernel", [_key_sort_indices, _floyd_indices])
     @pytest.mark.parametrize("universe", [12, 13])
-    def test_ordered_triples_uniform(self, universe):
+    def test_ordered_triples_uniform(self, kernel, universe):
         trials = 100_000
-        idx = _wor_indices(np.random.default_rng(2024), trials, universe, 3)
+        idx = kernel(np.random.default_rng(2024), trials, universe, 3)
         codes = (idx[:, 0] * universe + idx[:, 1]) * universe + idx[:, 2]
         counts = np.bincount(codes, minlength=universe**3)
         cells = [
@@ -555,7 +562,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("seed", [0, 1, 2024])
     def test_floyd_draws_unchanged(self, universe, n, seed):
         for size in (1, 20, 5000):
-            new = _wor_indices(np.random.default_rng(seed), size, universe, n)
+            new = _floyd_indices(np.random.default_rng(seed), size, universe, n)
             old = old_wor_indices(np.random.default_rng(seed), size, universe, n)
             np.testing.assert_array_equal(new, old)
 
@@ -663,6 +670,30 @@ class TestChunkedBlocks:
         assert peak < 2 * 2**20
 
 
+class TestOneDrawChoice:
+    # _chunk_draw makes a run's one choice of kernel: the outcome-table rule
+    # and the key-sort cutoff are asked once per run, however many chunks the
+    # run draws, and a tabulated run never asks the cutoff.
+    @pytest.mark.parametrize(
+        "inst, cfg, sorts_asked",
+        [
+            (TWELVE, DesignConfig("srs", n=3), 1),  # key sort
+            (FORTY, DesignConfig("srs", n=6), 1),  # Floyd
+            (SEVEN, DesignConfig("srs", n=3), 0),  # outcome table
+        ],
+    )
+    def test_the_choice_is_made_once_per_run(self, monkeypatch, inst, cfg, sorts_asked):
+        calls = []
+        for name in ("_sorts_keys", "_tabulated_outcomes"):
+            real = getattr(verify, name)
+            monkeypatch.setattr(verify, name,
+                                lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+        monkeypatch.setattr(verify, "CHUNK_ELEMENTS", 64)  # 201 trials a block, many chunks
+        simulate_blocks(inst, cfg, 20_150, 31)
+        assert calls.count("_tabulated_outcomes") == 1
+        assert calls.count("_sorts_keys") == sorts_asked
+
+
 def hand_merge(a, b):
     """The Chan et al. update as the engines once wrote it out."""
     na, ma, m2a = a
@@ -708,17 +739,15 @@ def hand_tabulates(spec, trials):
 def hand_folded_blocks(inst, cfg, trials, seed):
     """simulate_blocks with its chunks folded by a hand-written loop."""
     spec = estimator_spec(inst, cfg)
-    values = np.asarray(spec.values, dtype=float)
     if hand_tabulates(spec, trials):
         draw, step = hand_tabulated_draw(spec), verify.CHUNK_ELEMENTS
     else:
-        table = None if spec.weight_sizes is None else _alias_table(spec.weight_sizes)
-        sorts_keys = not spec.replacement and verify._sorts_keys(spec.universe, spec.n)
-        step = max(1, verify.CHUNK_ELEMENTS // (spec.universe if sorts_keys else spec.n))
-
-        def draw(rng, rows):
-            return verify._block_values(spec, values, rng, rows, table)
-
+        # The per-draw kernels are _chunk_draw's; the chunk width is set by
+        # hand: universe keys for key sort (universe <= 4n), else n indices.
+        draw, width = verify._chunk_draw(spec, trials)
+        sorts_keys = not spec.replacement and spec.universe <= 4 * spec.n
+        assert width == (spec.universe if sorts_keys else spec.n)
+        step = max(1, verify.CHUNK_ELEMENTS // width)
     out = []
     for b, size in enumerate(verify._block_sizes(trials)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
@@ -1036,13 +1065,17 @@ class TestOutcomeTable:
     @pytest.mark.parametrize(
         "inst, cfg", [(SKEWED_INST, DesignConfig("srs", n=3)), (SKEWED_PPS, DesignConfig("pps_wr", n=3))]
     )
-    def test_drawn_codes_chi_square(self, inst, cfg):
-        # A table of the codes themselves returns the drawn codes.
+    def test_drawn_codes_chi_square(self, monkeypatch, inst, cfg):
+        # With a table of the codes themselves, _chunk_draw's draw returns
+        # the drawn codes.
         spec, table, alias = outcome_table(inst, cfg)
+        monkeypatch.setattr(
+            verify, "_outcome_table", lambda *a: (np.arange(len(table), dtype=float), alias)
+        )
+        draw, width = verify._chunk_draw(spec, 2**40)
+        assert width == 1
         draws = 200_000
-        codes = verify._table_values(
-            np.arange(len(table), dtype=float), alias, np.random.default_rng(2025), draws
-        ).astype(np.int64)
+        codes = draw(np.random.default_rng(2025), draws).astype(np.int64)
         observed = np.bincount(codes, minlength=len(table))
         masses = np.asarray(outcome_masses(spec, ordered_outcomes(spec)), dtype=float)
         expected = draws * masses / masses.sum()
@@ -1182,10 +1215,18 @@ class TestFloatRange:
         cfg = DesignConfig("srs_wr", n=2)  # 1e308 + 1e308 overflows the row sum
         with pytest.raises(ValueError, match="float range"):
             enumerate_moments(HUGE_INST, cfg)
-        # The table build refuses before any trial is drawn.
-        monkeypatch.setattr(verify, "_table_values", None)
+        # The table build refuses before any trial is drawn; per draw, the
+        # first chunk that overflows is refused.
+        drawn, chunk_draw = [], verify._chunk_draw
+
+        def counted(spec, run_trials):
+            draw, width = chunk_draw(spec, run_trials)
+            return (lambda rng, size: drawn.append(size) or draw(rng, size)), width
+
+        monkeypatch.setattr(verify, "_chunk_draw", counted)
         with pytest.raises(ValueError, match="float range"):
             simulate_blocks(HUGE_INST, cfg, trials, 1)
+        assert bool(drawn) == (trials == 100)
 
     def test_a_merge_past_the_float_range_is_refused(self):
         with pytest.raises(ValueError, match="float range"):
