@@ -7,7 +7,6 @@ import math
 import operator
 from array import array
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
@@ -200,9 +199,19 @@ class Adjacency:
     neighbors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        lists = tuple(
-            tuple(sorted(set(as_indices(row, "neighbour index")))) for row in self.neighbors
-        )
+        rows = []
+        for i, row in enumerate(self.neighbors):
+            try:
+                indices = as_indices(row, "neighbour index")
+            except ValueError:
+                # Any iterable row is read; only a bare number or null gets this message.
+                if not isinstance(row, Iterable):
+                    raise ValueError(
+                        f"adjacency row {i} must be a list, got {type(row).__name__}"
+                    ) from None
+                raise
+            rows.append(tuple(sorted(set(indices))))
+        lists = tuple(rows)
         n = len(lists)
         for i, row in enumerate(lists):
             for j in row:
@@ -285,19 +294,41 @@ class NetworkPartition:
         check_covers(pop, len(assignment))
         label_to_id: dict[object, int] = {}
         ids = [label_to_id.setdefault(a, len(label_to_id)) for a in assignment]
-        k = len(label_to_id)
-        sums = [0.0] * k
-        counts = [0] * k
-        for i, g in enumerate(ids):
-            sums[g] += pop.values[i]
+        return cls._from_ids(pop, ids, len(label_to_id))
+
+    @classmethod
+    def _from_ids(cls, pop: Population, ids: Sequence[int], k: int) -> "NetworkPartition":
+        """The partition of pop whose unit i lies in network ids[i], for ids
+        that use every one of 0..k-1, as from_assignment and compute_networks
+        make them.  Such a partition passes __post_init__'s checks by
+        construction (the tests rebuild every one through them), so they are
+        skipped.  Each mean is the plain sum over the count, summed in unit
+        order, unless that sum overflows."""
+        sums = array("d", bytes(8 * k))
+        counts = array("q", bytes(8 * k))
+        for v, g in zip(pop.values, ids):
+            sums[g] += v
             counts[g] += 1
-        means = [s / c for s, c in zip(sums, counts)]
-        for g in [g for g, s in enumerate(sums) if not math.isfinite(s)]:
-            # The plain sum overflowed: sum v / 2c, double, clamp to the range.
-            members = [v for v, h in zip(pop.values, ids) if h == g]
-            mean = 2.0 * math.fsum(v / (2 * counts[g]) for v in members)
-            means[g] = min(max(mean, min(members)), max(members))
-        return cls(tuple(ids), tuple(counts), tuple(means))
+        means = tuple(map(operator.truediv, sums, counts))
+        if not all(map(math.isfinite, sums)):
+            means = tuple(
+                mean if math.isfinite(s)
+                else _clamped_mean([v for v, h in zip(pop.values, ids) if h == g])
+                for g, (mean, s) in enumerate(zip(means, sums))
+            )
+        part = object.__new__(cls)
+        # One int object per network, shared by its units.
+        object.__setattr__(part, "assignment", tuple(map(list(range(k)).__getitem__, ids)))
+        object.__setattr__(part, "network_sizes", tuple(counts))
+        object.__setattr__(part, "network_means", means)
+        return part
+
+
+def _clamped_mean(members: list[float]) -> float:
+    """The mean of members whose plain sum overflowed: sum v / 2c, double,
+    clamp to the range."""
+    mean = 2.0 * math.fsum(v / (2 * len(members)) for v in members)
+    return min(max(mean, min(members)), max(members))
 
 
 def check_covers(pop: Population, num_units: int) -> None:
@@ -330,26 +361,23 @@ def compute_networks(pop: Population, adj: Adjacency, threshold: float) -> Netwo
     """Group units with value above the threshold into connected components of
     the induced subgraph; every other unit becomes its own singleton network."""
     check_covers(pop, adj.num_units)
-    qualifies = [v > threshold for v in pop.values]
-    labels = [-1] * pop.size
-    next_label = 0
-    for start in range(pop.size):
+    values, neighbors = pop.values, adj.neighbors
+    # Labels are canonical: network k is the k-th met in unit order.
+    labels = array("q", [-1]) * pop.size
+    k = 0
+    for start, v in enumerate(values):
         if labels[start] != -1:
             continue
-        if not qualifies[start]:
-            labels[start] = next_label
-            next_label += 1
-            continue
-        queue = deque([start])
-        labels[start] = next_label
-        while queue:
-            i = queue.popleft()
-            for j in adj.neighbors[i]:
-                if qualifies[j] and labels[j] == -1:
-                    labels[j] = next_label
-                    queue.append(j)
-        next_label += 1
-    return NetworkPartition.from_assignment(pop, labels)
+        labels[start] = k
+        if v > threshold:
+            queue = [start]
+            for i in queue:  # grows while it is read: a breadth-first walk
+                for j in neighbors[i]:
+                    if labels[j] == -1 and values[j] > threshold:
+                        labels[j] = k
+                        queue.append(j)
+        k += 1
+    return NetworkPartition._from_ids(pop, labels, k)
 
 
 def flatten_networks(pop: Population, partition: NetworkPartition) -> Population:

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -154,6 +155,7 @@ class Instance:
             _require(pop is not None, "adjacency requires population values")
             _require(m.get("threshold") is not None, "adjacency requires a threshold")
             rows = _list_field(m, "adjacency")
+            check_covers(pop, len(rows))
             # A NaN or +inf threshold would make every unit its own network
             # without a word; a finite threshold above the values says so.
             (threshold,) = as_reals((m["threshold"],), "threshold")
@@ -161,6 +163,19 @@ class Instance:
         else:
             _require(m.get("threshold") is None, "threshold is read only with adjacency")
         return cls(pop, weights, partition, classified)
+
+    # Each transformed population is built on first use and kept, so that a
+    # run resolving its design several times builds it once.  The builders
+    # are looked up in this module when called, where a caller may wrap them.
+    @cached_property
+    def extended(self) -> Population:
+        """The PPS extended population of the values and size weights."""
+        return extend_pps(self.population, self.weights)
+
+    @cached_property
+    def flattened(self) -> Population:
+        """The ACS flattened population of the values and network partition."""
+        return flatten_networks(self.population, self.partition)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -204,9 +219,10 @@ def estimator_spec(inst: Instance, config: DesignConfig) -> EstimatorSpec:
             "sample_mean", "mean", universe, n, replacement, pop.values, None, None
         )
     if design.startswith("acs"):
-        flat = flatten_networks(pop, inst.partition)
-        return EstimatorSpec("acs_mean", "mean", universe, n, replacement, flat.values, None, None)
-    values = pps_ratios(pop, w, range(pop.size)) if replacement else extend_pps(pop, w).values
+        return EstimatorSpec(
+            "acs_mean", "mean", universe, n, replacement, inst.flattened.values, None, None
+        )
+    values = pps_ratios(pop, w, range(pop.size)) if replacement else inst.extended.values
     return EstimatorSpec(
         "hh_total", "total", universe, n, replacement, values,
         w.sizes if replacement else None, None,

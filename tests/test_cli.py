@@ -230,6 +230,8 @@ class TestEnumerateCommand:
         ("verify", {"values": [1, [2]]}, '{"design": "srs", "n": 2}', ["--seed", "1"]),
         ("verify", {"values": [1, 2], "adjacency": [1, 0], "threshold": 0},
          '{"design": "acs", "n1": 1}', ["--seed", "1"]),
+        ("verify", {"values": [1, 2, 3], "adjacency": [[1], [0, 2], 5], "threshold": 1},
+         '{"design": "acs", "n1": 1}', ["--seed", "1"]),
         ("compare", {"values": list(range(40))}, '{"design": "srs", "n": 6}',
          ["--trials", "50", "--seed", "1"]),
         ("enumerate", {"values": ["1", "2", "3"]}, '{"design": "srs", "n": 2}', []),

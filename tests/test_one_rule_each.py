@@ -113,6 +113,17 @@ def test_the_cli_refuses_a_structure_one_unit_short_in_the_same_words(
     assert err == f"error: {COVERAGE_WORDS}\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+def test_the_cli_refuses_surplus_adjacency_rows_in_the_coverage_words(tmp_path, capsys, command):
+    # The surplus row would also break symmetry; coverage is checked first.
+    population = {"values": [1, 2, 3], "adjacency": [[1], [0, 2], [1], [0]], "threshold": 1}
+    err = _cli_error(tmp_path, capsys, command, population, {"design": "acs", "n": 2})
+    assert err == (
+        "error: 4 per-unit entries (size weights, adjacency rows or network labels) "
+        "for a population of 3 units\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Index range: the estimators and SizeWeights.units_of share one bounds
 # check; count vectors are checked by CountVector alone.

@@ -2,6 +2,7 @@
 a non-integer, n < 1, and n above its universe without replacement, in the
 same words, through population.sample_size."""
 
+import dataclasses
 import json
 import re
 
@@ -170,5 +171,26 @@ def test_an_oversized_wor_n_is_refused_before_the_transformed_population_is_buil
 
     monkeypatch.setattr(verify, "extend_pps", must_not_run)
     monkeypatch.setattr(verify, "flatten_networks", must_not_run)
+    # A fresh instance: one that an earlier test resolved keeps its build.
     with pytest.raises(ValueError, match="exceeds"):
-        estimator_spec(inst, DesignConfig(design, n=100))
+        estimator_spec(dataclasses.replace(inst), DesignConfig(design, n=100))
+
+
+@pytest.mark.parametrize(
+    "design, inst, builder", [("pps_wor", PPS, "extend_pps"), ("acs", ACS, "flatten_networks")]
+)
+def test_a_monte_carlo_run_builds_the_transformed_population_once(
+    monkeypatch, design, inst, builder
+):
+    calls = []
+    original = getattr(verify, builder)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(verify, builder, counted)
+    fresh = dataclasses.replace(inst)
+    verify.run_monte_carlo(fresh, DesignConfig(design, n=2), 200, 1)
+    verify.relative_efficiency(fresh, DesignConfig(design, n=2))
+    assert len(calls) == 1
