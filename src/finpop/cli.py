@@ -148,15 +148,18 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--population", required=True, help="path to population JSON file")
     common.add_argument("--design", required=True, help="inline design JSON or path to a file")
-    common.add_argument("--trials", type=int, default=1_000_000, help="Monte Carlo trials")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (u64)")
-    common.add_argument("--tolerance-abs", type=float, default=None, help="oracle abs tolerance")
     common.add_argument("--out", default=None, help="write the report to this path")
     common.add_argument("--format", choices=("json", "table"), default="json")
+    # enumerate runs no Monte Carlo and checks no tolerance, so it refuses these.
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--trials", type=int, default=1_000_000, help="Monte Carlo trials")
+    run_flags.add_argument("--seed", type=int, default=None, help="RNG seed (u64)")
+    run_flags.add_argument("--tolerance-abs", type=float, default=None, help="oracle abs tolerance")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("verify", parents=[common], help="Monte Carlo + oracle moment check")
-    sub.add_parser("compare", parents=[common], help="WOR/WR variance ratio vs predicted fpc")
+    sub.add_parser("verify", parents=[common, run_flags], help="Monte Carlo + oracle moment check")
+    sub.add_parser("compare", parents=[common, run_flags],
+                   help="WOR/WR variance ratio vs predicted fpc")
     sub.add_parser("enumerate", parents=[common], help="exact distribution / moment dump")
     return parser
 

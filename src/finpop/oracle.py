@@ -54,13 +54,14 @@ class EstimatorSpec:
     group_sizes: Optional[tuple[int, ...]]
 
 
-def _ordered_outcomes(spec: EstimatorSpec, cap: int) -> int:
-    """The design's U^n (with replacement) or U!/(U-n)! ordered outcomes, or
-    the first partial product past cap: a full count can run to thousands of
-    digits.  A universe of 1 has a single outcome whatever n is."""
+def _ordered_outcomes(universe: int, n: int, replacement: bool, cap: int) -> int:
+    """The U^n (with replacement) or U!/(U-n)! ordered outcomes of n draws
+    from a universe of U, or the first partial product past cap: a full count
+    can run to thousands of digits.  A universe of 1 has a single outcome
+    whatever n is."""
     count = 1
-    for k in range(spec.n if spec.universe > 1 else 0):
-        count *= spec.universe if spec.replacement else spec.universe - k
+    for k in range(n if universe > 1 else 0):
+        count *= universe if replacement else universe - k
         if count > cap:
             break
     return count
@@ -73,7 +74,7 @@ def _check_draws(n: int) -> None:
 
 
 def _check_enumeration_size(spec: EstimatorSpec) -> None:
-    count = _ordered_outcomes(spec, ENUMERATION_LIMIT)
+    count = _ordered_outcomes(spec.universe, spec.n, spec.replacement, ENUMERATION_LIMIT)
     if count > ENUMERATION_LIMIT:
         raise EnumerationLimitError(f"at least {count} ordered outcomes exceed the enumeration "
                                     f"limit {ENUMERATION_LIMIT}")

@@ -35,16 +35,13 @@ NUM_BLOCKS = 100
 # 1: the original samplers; 2: Floyd sampling for WOR draws with N > 4n;
 # 3: the exact integer alias draw for PPS with replacement; 4: blocks drawn
 # in chunks of at most CHUNK_ELEMENTS; 5: designs with few ordered outcomes
-# draw one outcome code per trial from a table of them.
-RNG_STREAM = 5
+# draw one outcome code per trial from a table of them; 6: pps_wr tabulates
+# over its t_M extended positions.
+RNG_STREAM = 6
 # A run tabulates its design's ordered outcomes when there are at most
 # _TABLE_CAP of them (512 KiB of float64 estimates) and the run has at least
-# _TABLE_RATIO trials per outcome to pay for building the table.  pps_wr
-# stops at _PPS_WR_TABLE_CAP: its alias table over the outcomes is built from
-# Python ints, about 150 bytes an outcome, which this cap keeps within the
-# memory of a uniform table at _TABLE_CAP.
+# _TABLE_RATIO trials per outcome to pay for building the table.
 _TABLE_CAP = 1 << 16
-_PPS_WR_TABLE_CAP = 1 << 12
 _TABLE_RATIO = 16
 
 COUNT_DESIGNS = ("counts", "counts_wr")
@@ -331,79 +328,63 @@ def _alias_indices(
     return idx
 
 
-def _tabulated_outcomes(spec: EstimatorSpec, trials: int) -> Optional[int]:
-    """The number K of the design's ordered outcomes if simulate_blocks draws
-    each trial from a table of them, else None.
+def _tabulated_outcomes(universe: int, n: int, replacement: bool, trials: int) -> Optional[int]:
+    """The number K of ordered outcomes of n draws from universe if
+    simulate_blocks draws each trial from a table of them, else None.
 
-    K must be at most _TABLE_CAP and trials at least _TABLE_RATIO * K.  For
-    pps_wr, K must be at most _PPS_WR_TABLE_CAP instead, and K * t_M^n must
-    fit in int64, the bound of the exact alias draw over the outcomes'
-    masses.  K is counted by oracle._ordered_outcomes, only until it passes
-    the cap."""
-    weighted = spec.weight_sizes is not None
-    cap = min(_PPS_WR_TABLE_CAP if weighted else _TABLE_CAP, trials // _TABLE_RATIO)
-    count = _ordered_outcomes(spec, cap)
-    if count > cap:
-        return None
-    if weighted:
-        total = sum(spec.weight_sizes)
-        # total^63 alone passes the int64 range for any total > 1.
-        if total > 1 and (spec.n >= 63 or count * total**spec.n > np.iinfo(np.int64).max):
-            return None
-    return count
+    K must be at most _TABLE_CAP and trials at least _TABLE_RATIO * K.  K is
+    counted by oracle._ordered_outcomes, only until it passes the cap."""
+    cap = min(_TABLE_CAP, trials // _TABLE_RATIO)
+    count = _ordered_outcomes(universe, n, replacement, cap)
+    return None if count > cap else count
 
 
-def _outcome_table(
-    spec: EstimatorSpec, values: np.ndarray, count: int
-) -> tuple[np.ndarray, Optional[AliasTable]]:
-    """(estimates, alias) over the design's count ordered outcomes, which are
-    itertools.permutations(range(U), n) without replacement and
-    itertools.product(range(U), repeat=n) with it, in that order.
-
-    estimates[k] is the estimator on outcome k.  All outcomes are equally
-    likely except under pps_wr, where alias is an _alias_table over their
-    integer masses prod Z_i; these sum to t_M^n, so the draw stays exact.
-    The outcomes are evaluated in chunks of at most CHUNK_ELEMENTS // n."""
-    n, units = spec.n, range(spec.universe)
+def _outcome_table(spec: EstimatorSpec, values: np.ndarray, count: int) -> np.ndarray:
+    """The estimator on each of the count ordered outcomes of spec.n draws
+    from range(U), U = len(values): itertools.permutations(range(U), n)
+    without replacement and itertools.product(range(U), repeat=n) with it,
+    in that order.  The outcomes are evaluated in chunks of at most
+    CHUNK_ELEMENTS // n."""
+    n, units = spec.n, range(len(values))
     outcomes = (
         itertools.product(units, repeat=n) if spec.replacement
         else itertools.permutations(units, n)
     )
-    sizes = None if spec.weight_sizes is None else np.array(spec.weight_sizes, dtype=np.int64)
-    table, masses = np.empty(count), []
+    table = np.empty(count)
     step = max(1, CHUNK_ELEMENTS // n)
     for start in range(0, count, step):
         chunk = itertools.islice(outcomes, step)
         idx = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.intp).reshape(-1, n)
         table[start : start + len(idx)] = estimators.estimates(values[idx], spec.group_sizes)
-        if sizes is not None:
-            masses += sizes[idx].prod(axis=1).tolist()
-    return table, None if sizes is None else _alias_table(masses)
+    return table
 
 
 def _chunk_draw(
     spec: EstimatorSpec, trials: int
 ) -> tuple[Callable[[np.random.Generator, int], np.ndarray], int]:
     """The one choice of how a simulate_blocks run draws: (draw, width), one
-    of six kernels bound for the whole run.  draw(rng, size) returns size
+    of five kernels bound for the whole run.  draw(rng, size) returns size
     estimates; width, the widest per-trial temporary, sets the chunk size.
 
     A design with few ordered outcomes (_tabulated_outcomes) is tabulated
-    once, and a trial is one code, uniform or by the alias table over the
-    outcomes for pps_wr: width 1.  Otherwise a trial draws n indices: by the
+    once, and a trial is one uniform code: width 1.  The table's universe is
+    the spec's, except for pps_wr: that is SRS with replacement over its t_M
+    extended positions, unit i owning Z_i of them, so its ordered tuples of
+    positions are equally likely.  Otherwise a trial draws n indices: by the
     alias table over units for pps_wr, uniformly with replacement, or by key
     sort (universe keys wide) or Floyd."""
     values = np.asarray(spec.values, dtype=float)
-    n, universe, groups = spec.n, spec.universe, spec.group_sizes
-    count = _tabulated_outcomes(spec, trials)
+    n, universe, groups, sizes = spec.n, spec.universe, spec.group_sizes, spec.weight_sizes
+    table_universe = universe if sizes is None else sum(sizes)
+    count = _tabulated_outcomes(table_universe, n, spec.replacement, trials)
     if count is not None:
-        table, alias = _outcome_table(spec, values, count)
-        if alias is None:
-            return lambda rng, size: table[rng.integers(0, count, size=size)], 1
-        return lambda rng, size: table[_alias_indices(rng, alias, (size,))], 1
+        if sizes is not None:
+            values = values[list(SizeWeights(sizes).units_of(range(table_universe)))]
+        table = _outcome_table(spec, values, count)
+        return lambda rng, size: table[rng.integers(0, count, size=size)], 1
     width = n
-    if spec.weight_sizes is not None:
-        units = _alias_table(spec.weight_sizes)
+    if sizes is not None:
+        units = _alias_table(sizes)
         indices = lambda rng, size: _alias_indices(rng, units, (size, n))
     elif spec.replacement:
         indices = lambda rng, size: rng.integers(0, universe, size=(size, n))
@@ -420,12 +401,20 @@ def _block_sizes(trials: int) -> list[int]:
     return [base + 1 if b < rem else base for b in range(blocks)]
 
 
+# The least value of each argument a Monte Carlo run takes.
+_RUN_FLOORS = {"trials": 1, "seed": 0}
+
+
+def _run_argument(name: str, value: int) -> int:
+    """A run's trials (>= 1) or seed (>= 0) as an exact int (as_index)."""
+    value, floor = as_index(value, name), _RUN_FLOORS[name]
+    _require(value >= floor, f"{name} must be >= {floor}, got {value}")
+    return value
+
+
 def _run_arguments(trials: int, seed: int) -> tuple[int, int]:
-    """trials >= 1 and seed >= 0 as exact ints (as_index): checked where a run starts."""
-    trials, seed = as_index(trials, "trials"), as_index(seed, "seed")
-    _require(trials >= 1, f"trials must be >= 1, got {trials}")
-    _require(seed >= 0, f"seed must be >= 0, got {seed}")
-    return trials, seed
+    """trials and seed by _run_argument: checked where a run starts."""
+    return _run_argument("trials", trials), _run_argument("seed", seed)
 
 
 def simulate_blocks(
@@ -436,14 +425,14 @@ def simulate_blocks(
     Block b draws from a stream derived deterministically from (seed, b), so
     any execution order reproduces the same accumulators.  How a trial is
     drawn is chosen once per run (_chunk_draw): a design with at most
-    min(_TABLE_CAP, trials // _TABLE_RATIO) ordered outcomes
-    (_PPS_WR_TABLE_CAP for pps_wr) is tabulated first, and each trial is
-    then one outcome code and one lookup; any other
-    design draws n indices per trial.  Each block is drawn in chunks whose
-    widest per-trial temporary (one code on the table path, universe keys on
-    the key-sort path, n indices otherwise) holds at most CHUNK_ELEMENTS
-    elements, so memory does not grow with trials.  An estimate or moment
-    out of the float range is refused with a ValueError.
+    min(_TABLE_CAP, trials // _TABLE_RATIO) ordered outcomes (of t_M
+    positions for pps_wr) is tabulated first, and each trial is then one
+    outcome code and one lookup; any other design draws n indices per trial.
+    Each block is drawn in chunks whose widest per-trial temporary (one code
+    on the table path, universe keys on the key-sort path, n indices
+    otherwise) holds at most CHUNK_ELEMENTS elements, so memory does not
+    grow with trials.  An estimate or moment out of the float range is
+    refused with a ValueError.
     """
     trials, seed = _run_arguments(trials, seed)
     spec = estimator_spec(inst, config)
@@ -619,8 +608,12 @@ def relative_efficiency(
     seed: Optional[int] = None,
 ) -> RelativeEfficiencyReport:
     """Compare the enumerated (preferred) or Monte Carlo WOR/WR variance
-    ratio against the predicted finite population correction."""
+    ratio against the predicted finite population correction.  A trials or
+    seed that is given is checked before the method is picked, so a bad one
+    is refused even where enumeration leaves it unused."""
     _require(config.group_sizes is None, "random-group configs have no WR/WOR pairing")
+    trials = None if trials is None else _run_argument("trials", trials)
+    seed = None if seed is None else _run_argument("seed", seed)
     wor_name, wr_name = _PAIRS[_sample_design(config)]
     wor_cfg, wr_cfg = (dataclasses.replace(config, design=name) for name in (wor_name, wr_name))
     spec_wor = estimator_spec(inst, wor_cfg)
@@ -634,7 +627,6 @@ def relative_efficiency(
     except EnumerationLimitError:
         if seed is None or trials is None:
             raise
-        trials, seed = _run_arguments(trials, seed)
         # The same draws run_monte_carlo makes at these seeds, without its
         # oracle try and its bands, which this report does not use.
         emp_wor = _empirical(simulate_blocks(inst, wor_cfg, trials, seed))

@@ -278,6 +278,28 @@ def test_bad_input_exits_1_without_traceback(tmp_path, capsys, command, populati
     assert not re.fullmatch(r"error: '\w*'\n", err), "a bare KeyError names no problem"
 
 
+@pytest.mark.parametrize("flag", [["--trials", "0"], ["--seed", "-5"], ["--tolerance-abs", "3"]])
+def test_enumerate_refuses_the_run_flags(tmp_path, capsys, flag):
+    # enumerate runs no Monte Carlo and checks no tolerance: a run flag given
+    # to it is refused, not ignored.
+    pop = write(tmp_path, "pop.json", POP5)
+    code = main(["enumerate", "--population", pop, "--design", '{"design": "srs", "n": 2}', *flag])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert f"unrecognized arguments: {' '.join(flag)}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, words",
+    [(["--trials", "0"], "trials must be >= 1, got 0"),
+     (["--seed", "-3"], "seed must be >= 0, got -3")],
+)
+def test_compare_checks_a_given_run_flag_before_it_enumerates(tmp_path, capsys, flag, words):
+    pop = write(tmp_path, "pop.json", POP5)
+    code = main(["compare", "--population", pop, "--design", '{"design": "srs", "n": 2}', *flag])
+    assert (code, *capsys.readouterr()) == (1, "", f"error: {words}\n")
+
+
 def test_random_groups_at_a_large_offset_match_the_closed_form(tmp_path, capsys):
     # Values 1e8 from 0 and 0.1 apart: a group mean taken before centring
     # is off by about 1e-8, enough to move the oracle's mean past the oracle

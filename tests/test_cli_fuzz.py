@@ -82,8 +82,9 @@ def designs(draw):
 def test_cli_exits_cleanly(tmp_path_factory, command, population, design, trials, seed):
     path = tmp_path_factory.mktemp("fuzz") / "pop.json"
     path.write_text(json.dumps(population))
-    argv = [command, "--population", str(path), "--design", json.dumps(design),
-            "--trials", str(trials), "--seed", str(seed)]
+    argv = [command, "--population", str(path), "--design", json.dumps(design)]
+    if command != "enumerate":  # enumerate takes no run flags
+        argv += ["--trials", str(trials), "--seed", str(seed)]
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

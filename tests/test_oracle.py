@@ -196,7 +196,7 @@ def _spec(universe, n, replacement):
 def test_ordered_outcomes_stop_at_the_first_partial_product_past_the_cap(
     universe, n, replacement, cap, expected
 ):
-    assert oracle._ordered_outcomes(_spec(universe, n, replacement), cap) == expected
+    assert oracle._ordered_outcomes(universe, n, replacement, cap) == expected
 
 
 @pytest.mark.parametrize(

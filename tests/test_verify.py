@@ -32,7 +32,7 @@ from finpop import (
     srs_mean_variance,
     theoretical_moments,
 )
-from finpop import estimators, oracle, verify
+from finpop import estimators, extend_pps, oracle, verify
 from finpop.verify import (
     Moments,
     _alias_indices,
@@ -143,11 +143,12 @@ class TestEnumerateMoments:
             enumerate_moments(POP5_INST, DesignConfig("acs", n1=2))
 
 
-def _reference_value(spec, outcome):
-    drawn = [spec.values[i] for i in outcome]
-    sizes = spec.group_sizes
+def _reference_value(values, sizes, outcome):
+    """The estimator on values[i] for i in outcome, by math.fsum: the mean,
+    or with group sizes the random-group variance."""
+    drawn = [values[i] for i in outcome]
     if sizes is None:
-        return math.fsum(drawn) / spec.n
+        return math.fsum(drawn) / len(drawn)
     means, start = [], 0
     for s in sizes:
         means.append(math.fsum(drawn[start : start + s]) / s)
@@ -172,7 +173,7 @@ def ordered_reference(inst, config):
     else:
         outcomes = list(itertools.permutations(range(spec.universe), spec.n))
         probs = [1.0 / len(outcomes)] * len(outcomes)
-    values = [_reference_value(spec, o) for o in outcomes]
+    values = [_reference_value(spec.values, spec.group_sizes, o) for o in outcomes]
     mean = math.fsum(p * v for p, v in zip(probs, values))
     return Moments(mean, math.fsum(p * (v - mean) ** 2 for p, v in zip(probs, values)))
 
@@ -239,7 +240,8 @@ class TestRandomGroupEstimator:
         idx = np.array([np.random.default_rng(s).permutation(40) for s in range(20)])
         got = estimators.estimates(np.asarray(spec.values)[idx], spec.group_sizes)
         for row, outcome in zip(got, idx):
-            assert math.isclose(row, _reference_value(spec, outcome), rel_tol=1e-12)
+            assert math.isclose(row, _reference_value(spec.values, spec.group_sizes, outcome),
+                                rel_tol=1e-12)
 
     @pytest.mark.parametrize("sizes", [(2, 2, 2), (1, 2, 3), (3, 1), (1, 1, 1, 1), (2, 3)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -500,7 +502,7 @@ class TestVerdictNeedsBands:
 class TestRngStream:
     def test_monte_carlo_report(self):
         rep = run_monte_carlo(PPS_INST, DesignConfig("pps_wr", n=2), 1000, 5)
-        assert verify.RNG_STREAM == 5
+        assert verify.RNG_STREAM == 6
         assert json.loads(rep.to_json())["rng_stream"] == verify.RNG_STREAM
 
     def test_relative_efficiency_reports(self):
@@ -584,7 +586,7 @@ class TestBlockKernel:
         ],
     )
     def test_blocks_match_old_kernel(self, inst, cfg):
-        assert verify._tabulated_outcomes(estimator_spec(inst, cfg), 20_150) is None
+        assert tabulated_outcomes(estimator_spec(inst, cfg), 20_150) is None
         new = simulate_blocks(inst, cfg, 20_150, 31)
         old = old_blocks(inst, cfg, 20_150, 31)
         assert [b[0] for b in new] == [b[0] for b in old]
@@ -703,44 +705,52 @@ def hand_merge(a, b):
     return n, ma + delta * nb / n, m2a + m2b + delta * delta * na * nb / n
 
 
+def table_universe(spec):
+    """The outcome table's universe, by hand: the t_M extended positions for
+    pps_wr, else the spec's universe."""
+    return spec.universe if spec.weight_sizes is None else sum(spec.weight_sizes)
+
+
+def tabulated_outcomes(spec, trials):
+    """verify._tabulated_outcomes asked about the spec's table universe."""
+    return verify._tabulated_outcomes(table_universe(spec), spec.n, spec.replacement, trials)
+
+
+def table_values(inst, spec):
+    """The value of each index of the table universe, by hand: for pps_wr the
+    extend_pps population's, one per position, else the spec's."""
+    if spec.weight_sizes is None:
+        return np.asarray(spec.values, dtype=float)
+    return np.asarray(extend_pps(inst.population, inst.weights).values)
+
+
 def ordered_outcomes(spec):
-    units = range(spec.universe)
+    units = range(table_universe(spec))
     if spec.replacement:
         return list(itertools.product(units, repeat=spec.n))
     return list(itertools.permutations(units, spec.n))
 
 
-def outcome_masses(spec, outcomes):
-    """Each ordered outcome's probability times t_M^n: prod Z_i, or 1."""
-    sizes = spec.weight_sizes or (1,) * spec.universe
-    return [math.prod(sizes[i] for i in o) if spec.replacement else 1 for o in outcomes]
-
-
-def hand_tabulated_draw(spec):
-    """A chunk draw over every ordered outcome, tabulated by hand: one code
-    per trial, uniform, or for pps_wr by the alias draw over prod Z_i."""
-    outcomes = ordered_outcomes(spec)
-    table = estimators.estimates(np.asarray(spec.values)[np.array(outcomes)], spec.group_sizes)
-    if spec.weight_sizes is None:
-        return lambda rng, rows: table[rng.integers(0, len(outcomes), size=rows)]
-    alias = _alias_table(outcome_masses(spec, outcomes))
-    return lambda rng, rows: table[_alias_indices(rng, alias, (rows,))]
+def hand_tabulated_draw(inst, spec):
+    """A chunk draw over every ordered outcome, tabulated by hand: one
+    uniform code per trial."""
+    outcomes = np.array(ordered_outcomes(spec))
+    table = estimators.estimates(table_values(inst, spec)[outcomes], spec.group_sizes)
+    return lambda rng, rows: table[rng.integers(0, len(outcomes), size=rows)]
 
 
 def hand_tabulates(spec, trials):
     """The outcome-table rule, with the ordered outcomes counted in full."""
-    count = spec.universe**spec.n if spec.replacement else math.perm(spec.universe, spec.n)
-    if spec.weight_sizes is None:
-        return count <= min(verify._TABLE_CAP, trials // verify._TABLE_RATIO)
-    fits = count * sum(spec.weight_sizes) ** spec.n < 2**63
-    return count <= min(verify._PPS_WR_TABLE_CAP, trials // verify._TABLE_RATIO) and fits
+    universe = table_universe(spec)
+    count = universe**spec.n if spec.replacement else math.perm(universe, spec.n)
+    return count <= min(verify._TABLE_CAP, trials // verify._TABLE_RATIO)
 
 
 def hand_folded_blocks(inst, cfg, trials, seed):
     """simulate_blocks with its chunks folded by a hand-written loop."""
     spec = estimator_spec(inst, cfg)
     if hand_tabulates(spec, trials):
-        draw, step = hand_tabulated_draw(spec), verify.CHUNK_ELEMENTS
+        draw, step = hand_tabulated_draw(inst, spec), verify.CHUNK_ELEMENTS
     else:
         # The per-draw kernels are _chunk_draw's; the chunk width is set by
         # hand: universe keys for key sort (universe <= 4n), else n indices.
@@ -795,7 +805,7 @@ class TestOneMomentReduction:
             (TWELVE, DesignConfig("srs", n=3), False),  # key sort: N <= 4n
             (SEVEN, DesignConfig("srs", group_sizes=(2, 2, 2)), False),
             (SEVEN, DesignConfig("srs", n=3), True),
-            (SKEWED_PPS, DesignConfig("pps_wr", n=3), True),  # alias draw over outcomes
+            (SKEWED_PPS, DesignConfig("pps_wr", n=2), True),  # 13^2 position tuples
         ],
     )
     def test_monte_carlo_matches_hand_folds_bit_for_bit(
@@ -804,7 +814,7 @@ class TestOneMomentReduction:
         spec = estimator_spec(inst, cfg)
         tabulated = tabulated_at_20150 and trials == 20_150
         assert hand_tabulates(spec, trials) == tabulated
-        assert (verify._tabulated_outcomes(spec, trials) is not None) == tabulated
+        assert (tabulated_outcomes(spec, trials) is not None) == tabulated
         monkeypatch.setattr(verify, "CHUNK_ELEMENTS", chunk)
         blocks = simulate_blocks(inst, cfg, trials, 17)
         assert blocks == hand_folded_blocks(inst, cfg, trials, 17)
@@ -1012,49 +1022,61 @@ TABLE_CASES = [
 ]
 
 
-def outcome_table(inst, cfg):
+def built_tables(monkeypatch, spec, trials):
+    """The outcome tables _chunk_draw builds for spec at trials: one or none."""
+    built, real = [], verify._outcome_table
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_outcome_table", lambda *a: built.append(real(*a)) or built[-1])
+        verify._chunk_draw(spec, trials)
+    return built
+
+
+def outcome_table(monkeypatch, inst, cfg):
+    """The spec and the table _chunk_draw builds for it at 2^40 trials."""
     spec = estimator_spec(inst, cfg)
-    count = verify._tabulated_outcomes(spec, 2**40)
-    table, alias = verify._outcome_table(spec, np.asarray(spec.values, dtype=float), count)
-    return spec, table, alias
+    (table,) = built_tables(monkeypatch, spec, 2**40)
+    return spec, table
 
 
-# 64 units with sizes 1-4: pps_wr with n = 2 has 2^12 outcomes, at its cap.
-PPS_CAP_INST = Instance(
-    population=Population(tuple(float(i % 7) for i in range(64))),
-    weights=SizeWeights(tuple(1 + i % 4 for i in range(64))),
-)
+# Sizes summing to 16: pps_wr with n = 4 has 16^4 = 2^16 position tuples.
+PPS_T16 = Instance(population=SKEWED, weights=SizeWeights((2, 1, 3, 1, 5, 4)))
+
+
+def table_peaks(inst, cfg, count):
+    """tracemalloc peaks of simulate_blocks at the fewest trials that
+    tabulate count outcomes and at eight times as many."""
+    least = verify._TABLE_RATIO * count
+    peaks = []
+    for trials in (least, 8 * least):
+        assert tabulated_outcomes(estimator_spec(inst, cfg), trials) == count
+        tracemalloc.start()
+        try:
+            simulate_blocks(inst, cfg, trials, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 class TestOutcomeTable:
     @pytest.mark.parametrize("inst, cfg", TABLE_CASES)
-    def test_table_is_the_estimator_on_every_ordered_outcome(self, inst, cfg):
-        spec, table, alias = outcome_table(inst, cfg)
-        outcomes = ordered_outcomes(spec)
+    def test_table_is_the_estimator_on_every_ordered_outcome(self, monkeypatch, inst, cfg):
+        # pps_wr is walked over the positions of its extend_pps population.
+        spec, table = outcome_table(monkeypatch, inst, cfg)
+        outcomes, values = ordered_outcomes(spec), table_values(inst, spec)
         assert len(table) == len(outcomes)
-        drawn = np.asarray(spec.values, dtype=float)[np.array(outcomes)]
+        drawn = values[np.array(outcomes)]
         np.testing.assert_array_equal(table, estimators.estimates(drawn, spec.group_sizes))
         for code, outcome in enumerate(outcomes):
-            assert math.isclose(table[code], _reference_value(spec, outcome),
+            assert math.isclose(table[code], _reference_value(values, spec.group_sizes, outcome),
                                 rel_tol=1e-12, abs_tol=1e-12)
-        if spec.weight_sizes is None:
-            assert alias is None
-            return
-        # The alias table holds each outcome's mass prod Z_i exactly.
-        total, keep, column_alias = alias
-        assert total == sum(spec.weight_sizes) ** spec.n
-        mass = keep.tolist()
-        for column in range(len(outcomes)):
-            mass[int(column_alias[column])] += total - int(keep[column])
-        assert mass == [m * len(outcomes) for m in outcome_masses(spec, outcomes)]
 
     @pytest.mark.parametrize("inst, cfg", TABLE_CASES)
-    def test_table_moments_match_the_oracle_and_the_closed_forms(self, inst, cfg):
-        spec, table, _ = outcome_table(inst, cfg)
-        weights = outcome_masses(spec, ordered_outcomes(spec))
-        total = math.fsum(weights)
-        mean = math.fsum(w * v for w, v in zip(weights, table.tolist())) / total
-        variance = math.fsum(w * (v - mean) ** 2 for w, v in zip(weights, table.tolist())) / total
+    def test_table_moments_match_the_oracle_and_the_closed_forms(self, monkeypatch, inst, cfg):
+        # Every ordered outcome, of units or of pps_wr positions, is equally likely.
+        _, table = outcome_table(monkeypatch, inst, cfg)
+        mean = math.fsum(table.tolist()) / len(table)
+        variance = math.fsum((v - mean) ** 2 for v in table.tolist()) / len(table)
         tol = Tolerances()
         enum, theo = enumerate_moments(inst, cfg), theoretical_moments(inst, cfg)
         assert tol.close(mean, enum.mean) and tol.close(mean, theo.mean)
@@ -1067,28 +1089,25 @@ class TestOutcomeTable:
     )
     def test_drawn_codes_chi_square(self, monkeypatch, inst, cfg):
         # With a table of the codes themselves, _chunk_draw's draw returns
-        # the drawn codes.
-        spec, table, alias = outcome_table(inst, cfg)
-        monkeypatch.setattr(
-            verify, "_outcome_table", lambda *a: (np.arange(len(table), dtype=float), alias)
-        )
+        # the drawn codes, which must be uniform.
+        spec, table = outcome_table(monkeypatch, inst, cfg)
+        monkeypatch.setattr(verify, "_outcome_table", lambda *a: np.arange(len(table), dtype=float))
         draw, width = verify._chunk_draw(spec, 2**40)
         assert width == 1
         draws = 200_000
         codes = draw(np.random.default_rng(2025), draws).astype(np.int64)
         observed = np.bincount(codes, minlength=len(table))
-        masses = np.asarray(outcome_masses(spec, ordered_outcomes(spec)), dtype=float)
-        expected = draws * masses / masses.sum()
+        expected = draws / len(table)
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         df = len(table) - 1
         # Normal approximation to chi-square at this df; 4 sd is p < 1e-4.
         assert (chi2 - df) / math.sqrt(2 * df) < 4.0
 
     @pytest.mark.parametrize(
-        "inst, cfg", [(SKEWED_INST, DesignConfig("srs", n=3)), (SKEWED_PPS, DesignConfig("pps_wr", n=3))]
+        "inst, cfg", [(SKEWED_INST, DesignConfig("srs", n=3)), (SKEWED_PPS, DesignConfig("pps_wr", n=2))]
     )
     def test_same_seed_same_blocks(self, inst, cfg):
-        assert verify._tabulated_outcomes(estimator_spec(inst, cfg), 20_150) is not None
+        assert tabulated_outcomes(estimator_spec(inst, cfg), 20_150) is not None
         first = simulate_blocks(inst, cfg, 20_150, 8)
         assert simulate_blocks(inst, cfg, 20_150, 8) == first
         assert simulate_blocks(inst, cfg, 20_150, 9) != first
@@ -1098,15 +1117,15 @@ class TestOutcomeTable:
         assert verify._TABLE_CAP == 2**16
         at_cap = estimator_spec(Instance(population=Population(tuple(range(16)))),
                                 DesignConfig("srs_wr", n=4))
-        assert verify._tabulated_outcomes(at_cap, ratio * 2**16) == 2**16
-        assert verify._tabulated_outcomes(at_cap, ratio * 2**16 - 1) is None
+        assert tabulated_outcomes(at_cap, ratio * 2**16) == 2**16
+        assert tabulated_outcomes(at_cap, ratio * 2**16 - 1) is None
         past_cap = estimator_spec(Instance(population=Population(tuple(range(2**16 + 1)))),
                                   DesignConfig("srs", n=1))
-        assert verify._tabulated_outcomes(past_cap, 2**40) is None
+        assert tabulated_outcomes(past_cap, 2**40) is None
         # perm(6, 3) = 120 outcomes: tabulated from 120 * ratio trials on.
         small = estimator_spec(SKEWED_INST, DesignConfig("srs", n=3))
-        assert verify._tabulated_outcomes(small, ratio * 120) == 120
-        assert verify._tabulated_outcomes(small, ratio * 120 - 1) is None
+        assert tabulated_outcomes(small, ratio * 120) == 120
+        assert tabulated_outcomes(small, ratio * 120 - 1) is None
         builds = []
         real = verify._outcome_table
         monkeypatch.setattr(verify, "_outcome_table", lambda *a: builds.append(a) or real(*a))
@@ -1115,31 +1134,32 @@ class TestOutcomeTable:
         simulate_blocks(SKEWED_INST, DesignConfig("srs", n=3), ratio * 120, 1)
         assert len(builds) == 1
 
-    def test_pps_wr_rule_edges(self):
-        ratio, cap = verify._TABLE_RATIO, verify._PPS_WR_TABLE_CAP
-        assert cap == 2**12
-        at_cap = estimator_spec(PPS_CAP_INST, DesignConfig("pps_wr", n=2))  # 64^2 outcomes
-        assert verify._tabulated_outcomes(at_cap, ratio * cap) == cap
-        assert verify._tabulated_outcomes(at_cap, ratio * cap - 1) is None
-        past_cap = estimator_spec(PPS_CAP_INST, DesignConfig("pps_wr", n=3))
-        assert verify._tabulated_outcomes(past_cap, 2**40) is None
+    def test_pps_wr_rule_edges(self, monkeypatch):
+        # pps_wr tabulates its t_M^n position tuples, not its N^n unit
+        # tuples, under the one rule.
+        ratio = verify._TABLE_RATIO
+        sizes_of = lambda tables: [len(t) for t in tables]
+        at_cap = estimator_spec(PPS_T16, DesignConfig("pps_wr", n=4))  # 6^4 units, 16^4 positions
+        assert sizes_of(built_tables(monkeypatch, at_cap, ratio * 2**16)) == [2**16]
+        assert built_tables(monkeypatch, at_cap, ratio * 2**16 - 1) == []
+        for sizes, built in (((2**16 - 1, 1), [2**16]), ((2**16, 1), [])):
+            inst = Instance(population=Population((1.0, 2.0)), weights=SizeWeights(sizes))
+            spec = estimator_spec(inst, DesignConfig("pps_wr", n=1))
+            assert sizes_of(built_tables(monkeypatch, spec, 2**40)) == built
+        # 6 units, 13^3 = 2197 position tuples: the rule is asked once a run, about t_M.
+        asked, real = [], verify._tabulated_outcomes
+        monkeypatch.setattr(verify, "_tabulated_outcomes", lambda *a: asked.append(a) or real(*a))
+        spec = estimator_spec(SKEWED_PPS, DesignConfig("pps_wr", n=3))
+        assert built_tables(monkeypatch, spec, ratio * 2197 - 1) == []
+        assert sizes_of(built_tables(monkeypatch, spec, ratio * 2197)) == [2197]
+        assert asked == [(13, 3, True, ratio * 2197 - 1), (13, 3, True, ratio * 2197)]
 
     def test_a_universe_of_one_has_one_outcome(self):
         spec = estimator_spec(Instance(population=Population((3.0,))), DesignConfig("srs_wr", n=500))
-        assert verify._tabulated_outcomes(spec, 10**6) == 1
+        assert tabulated_outcomes(spec, 10**6) == 1
         blocks = simulate_blocks(Instance(population=Population((3.0,))),
                                  DesignConfig("srs_wr", n=500), 10**6, 1)
         assert all(m == 3.0 and m2 == 0.0 for _, m, m2 in blocks)
-
-    @pytest.mark.parametrize(
-        "sizes, tabulated",
-        [((1, 2**61 - 1), True), ((1, 2**62 - 1), False), ((2**62, 2**62), False)],
-    )
-    def test_pps_wr_masses_must_fit_in_int64(self, sizes, tabulated):
-        # Two outcomes of one draw: 2 * t_M must fit in int64.
-        inst = Instance(population=Population((1.0, 2.0)), weights=SizeWeights(sizes))
-        spec = estimator_spec(inst, DesignConfig("pps_wr", n=1))
-        assert (verify._tabulated_outcomes(spec, 10**6) is not None) == tabulated
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_sizes_past_int64_still_refused(self, n):
@@ -1149,37 +1169,13 @@ class TestOutcomeTable:
 
     def test_memory_at_the_cap_is_flat_in_trials(self):
         inst = Instance(population=Population(tuple(float(i % 7) for i in range(16))))
-        cfg = DesignConfig("srs_wr", n=4)  # 16^4 = 2^16 outcomes
-        least = verify._TABLE_RATIO * 2**16  # the fewest trials that tabulate them
-        peaks = []
-        for trials in (least, 8 * least):
-            assert verify._tabulated_outcomes(estimator_spec(inst, cfg), trials) == 2**16
-            tracemalloc.start()
-            try:
-                simulate_blocks(inst, cfg, trials, 1)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = table_peaks(inst, DesignConfig("srs_wr", n=4), 2**16)  # 16^4 outcomes
         assert max(peaks) < 2 * 2**20
         assert peaks[1] < peaks[0] + 2**18
 
-    def test_pps_wr_memory_at_its_cap_stays_within_a_uniform_table(self):
-        # The alias table over the pps_wr outcomes is built from Python ints,
-        # about 150 bytes an outcome, so pps_wr stops at a smaller cap, where
-        # its peak stays below that of a uniform table at _TABLE_CAP.
-        cfg = DesignConfig("pps_wr", n=2)
-        least = verify._TABLE_RATIO * 2**12
-        simulate_blocks(PPS_CAP_INST, cfg, 100, 1)  # numpy.random loads outside the trace
-        peaks = []
-        for trials in (least, 8 * least):
-            assert verify._tabulated_outcomes(estimator_spec(PPS_CAP_INST, cfg), trials) == 2**12
-            tracemalloc.start()
-            try:
-                simulate_blocks(PPS_CAP_INST, cfg, trials, 1)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert max(peaks) < 2**20
+    def test_pps_wr_memory_at_the_cap_is_flat_in_trials(self):
+        peaks = table_peaks(PPS_T16, DesignConfig("pps_wr", n=4), 2**16)  # 16^4 positions
+        assert max(peaks) < 2 * 2**20
         assert peaks[1] < peaks[0] + 2**18
 
 
@@ -1204,7 +1200,7 @@ class TestFloatRange:
     def test_monte_carlo_refuses_an_infinite_variance(self, design, trials):
         cfg = DesignConfig(design, n=1)
         spec = estimator_spec(OPPOSED_INST, cfg)
-        assert (verify._tabulated_outcomes(spec, trials) is None) == (trials == 200)
+        assert (tabulated_outcomes(spec, trials) is None) == (trials == 200)
         with pytest.raises(ValueError, match="float range"):
             simulate_blocks(OPPOSED_INST, cfg, trials, 1)
         with pytest.raises(ValueError, match="float range"):
