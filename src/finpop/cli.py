@@ -1,6 +1,7 @@
 """Command-line front end: loads a population file and a design config,
 dispatches to the verification engines, and emits JSON or fixed-width
-table reports.
+table reports.  `main` parses, loads the inputs and emits; each command
+returns its report record and exit code.
 
 Exit codes: 0 all verdicts pass, 2 some verdict fails, 1 usage/config error.
 """
@@ -28,18 +29,14 @@ from .verify import (
 )
 
 
-class CliError(Exception):
-    """Usage or configuration error; maps to exit code 1."""
-
-
 def _load_json_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"invalid JSON in {path}: {exc}") from exc
+        raise ValueError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _load_design(arg: str) -> dict:
@@ -48,12 +45,8 @@ def _load_design(arg: str) -> dict:
         try:
             return json.loads(text)
         except json.JSONDecodeError as exc:
-            raise CliError(f"invalid inline design JSON: {exc}") from exc
+            raise ValueError(f"invalid inline design JSON: {exc}") from exc
     return _load_json_file(arg)
-
-
-def _tolerances(args: argparse.Namespace) -> Tolerances:
-    return Tolerances() if args.tolerance_abs is None else Tolerances(abs_tol=args.tolerance_abs)
 
 
 def _format_table(record: dict, indent: int = 0) -> str:
@@ -82,35 +75,27 @@ def _emit(record: dict, args: argparse.Namespace) -> None:
                 json.dump(record, fh, indent=2)
                 fh.write("\n")
     except OSError as exc:
-        raise CliError(f"cannot write {args.out or 'stdout'}: {exc}") from exc
+        raise ValueError(f"cannot write {args.out or 'stdout'}: {exc}") from exc
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace, inst: Instance, config: DesignConfig) -> tuple:
     if args.seed is None:
-        raise CliError("verify requires --seed (no silent nondeterminism)")
-    inst = Instance.from_mapping(_load_json_file(args.population))
-    config = DesignConfig.from_mapping(_load_design(args.design))
-    report = run_monte_carlo(inst, config, args.trials, args.seed, _tolerances(args))
-    _emit(report.to_dict(), args)
-    return 0 if report.verdict else 2
+        raise ValueError("verify requires --seed (no silent nondeterminism)")
+    report = run_monte_carlo(inst, config, args.trials, args.seed, Tolerances(args.tolerance_abs))
+    return report.to_dict(), 0 if report.verdict else 2
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    inst = Instance.from_mapping(_load_json_file(args.population))
-    config = DesignConfig.from_mapping(_load_design(args.design))
+def cmd_compare(args: argparse.Namespace, inst: Instance, config: DesignConfig) -> tuple:
     report = relative_efficiency(
-        inst, config, _tolerances(args), trials=args.trials, seed=args.seed
+        inst, config, Tolerances(args.tolerance_abs), trials=args.trials, seed=args.seed
     )
-    _emit(report.to_dict(), args)
-    return 0 if report.verdict else 2
+    return report.to_dict(), 0 if report.verdict else 2
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    inst = Instance.from_mapping(_load_json_file(args.population))
-    config = DesignConfig.from_mapping(_load_design(args.design))
+def cmd_enumerate(args: argparse.Namespace, inst: Instance, config: DesignConfig) -> tuple:
     if config.design in COUNT_DESIGNS:
         if inst.classified is None:
-            raise CliError("count enumeration requires 'subgroup_sizes' in the population file")
+            raise ValueError("count enumeration requires 'subgroup_sizes' in the population file")
         replacement = config.design == "counts_wr"
         dist = enumerate_count_distribution(inst.classified, config.n, replacement)
         mean, cov = count_moments(dist)
@@ -136,12 +121,19 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             "mean": moments.mean,
             "variance": moments.variance,
         }
-    _emit(record, args)
-    return 0
+    return record, 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, subparsers included, whose usage errors raise
+    ValueError: main reports them as one `error:` line, like any bad input."""
+
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="finpop",
         description="Finite-population sampling designs, estimators, and verification.",
     )
@@ -154,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_flags = argparse.ArgumentParser(add_help=False)
     run_flags.add_argument("--trials", type=int, default=1_000_000, help="Monte Carlo trials")
     run_flags.add_argument("--seed", type=int, default=None, help="RNG seed (u64)")
-    run_flags.add_argument("--tolerance-abs", type=float, default=None, help="oracle abs tolerance")
+    run_flags.add_argument("--tolerance-abs", type=float, default=Tolerances.abs_tol,
+                           help="oracle abs tolerance")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("verify", parents=[common, run_flags], help="Monte Carlo + oracle moment check")
@@ -165,15 +158,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
     handlers = {"verify": cmd_verify, "compare": cmd_compare, "enumerate": cmd_enumerate}
     try:
-        return handlers[args.command](args)
-    except (CliError, EnumerationLimitError, ValueError) as exc:
+        args = build_parser().parse_args(argv)
+        inst = Instance.from_mapping(_load_json_file(args.population))
+        config = DesignConfig.from_mapping(_load_design(args.design))
+        record, code = handlers[args.command](args, inst, config)
+        _emit(record, args)
+        return code
+    except SystemExit:  # only --help exits, after printing the help
+        return 0
+    except (EnumerationLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OverflowError as exc:  # math.fsum's "intermediate overflow in fsum"

@@ -45,7 +45,6 @@ class EstimatorSpec:
     values and optional integer draw weights.  It holds no closed form."""
 
     tag: str
-    estimand: str
     universe: int
     n: int
     replacement: bool

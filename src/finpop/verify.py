@@ -109,13 +109,16 @@ class DesignConfig:
 
     @classmethod
     def from_mapping(cls, m: Mapping) -> "DesignConfig":
-        _require(
-            isinstance(m, Mapping), f"design config must be a JSON object, got {type(m).__name__}"
-        )
-        extra = set(m) - {"design", "n", "n1", "group_sizes"}
-        _require(not extra, f"unknown design config keys: {sorted(extra)}")
+        _check_object(m, "design config", {"design", "n", "n1", "group_sizes"})
         _require("design" in m, "design config requires a 'design' key")
         return cls(m["design"], m.get("n"), m.get("n1"), m.get("group_sizes"))
+
+
+def _check_object(m: Mapping, what: str, keys: set[str]) -> None:
+    """Refuse m unless it is a JSON object whose keys are all among keys."""
+    _require(isinstance(m, Mapping), f"{what} must be a JSON object, got {type(m).__name__}")
+    extra = set(m) - keys
+    _require(not extra, f"unknown {what} keys: {sorted(extra)}")
 
 
 def _list_field(m: Mapping, key: str) -> tuple:
@@ -135,11 +138,8 @@ class Instance:
 
     @classmethod
     def from_mapping(cls, m: Mapping) -> "Instance":
-        _require(
-            isinstance(m, Mapping), f"population must be a JSON object, got {type(m).__name__}"
-        )
-        extra = set(m) - {"values", "sizes", "adjacency", "threshold", "subgroup_sizes"}
-        _require(not extra, f"unknown population keys: {sorted(extra)}")
+        _check_object(m, "population",
+                      {"values", "sizes", "adjacency", "threshold", "subgroup_sizes"})
         pop = Population(_list_field(m, "values")) if "values" in m else None
         weights = SizeWeights(_list_field(m, "sizes")) if m.get("sizes") is not None else None
         classified = (
@@ -207,23 +207,15 @@ def estimator_spec(inst: Instance, config: DesignConfig) -> EstimatorSpec:
     field, size = config._size()
     n = sample_size(size, universe, replacement, field)
 
-    if groups is not None:
-        return EstimatorSpec(
-            "rg_variance", "population_variance", universe, n, False, pop.values, None, groups
-        )
     if design.startswith("srs"):
-        return EstimatorSpec(
-            "sample_mean", "mean", universe, n, replacement, pop.values, None, None
-        )
-    if design.startswith("acs"):
-        return EstimatorSpec(
-            "acs_mean", "mean", universe, n, replacement, inst.flattened.values, None, None
-        )
-    values = pps_ratios(pop, w, range(pop.size)) if replacement else inst.extended.values
-    return EstimatorSpec(
-        "hh_total", "total", universe, n, replacement, values,
-        w.sizes if replacement else None, None,
-    )
+        tag, values, sizes = "sample_mean" if groups is None else "rg_variance", pop.values, None
+    elif design.startswith("acs"):
+        tag, values, sizes = "acs_mean", inst.flattened.values, None
+    elif replacement:
+        tag, values, sizes = "hh_total", pps_ratios(pop, w, range(pop.size)), w.sizes
+    else:
+        tag, values, sizes = "hh_total", inst.extended.values, None
+    return EstimatorSpec(tag, universe, n, replacement, values, sizes, groups)
 
 
 def _closed_form(inst: Instance, spec: EstimatorSpec) -> Moments:
@@ -468,6 +460,11 @@ def _empirical(blocks: list[tuple[int, float, float]]) -> dict:
     }
 
 
+# What each estimator tag estimates.
+_ESTIMANDS = {"sample_mean": "mean", "acs_mean": "mean", "hh_total": "total",
+              "rg_variance": "population_variance"}
+
+
 @dataclass(frozen=True)
 class MomentReport:
     """Theoretical vs. enumerated vs. Monte Carlo moments with verdicts."""
@@ -542,16 +539,17 @@ def run_monte_carlo(
     too_few_trials = se_mean is None or (theo.variance is not None and se_var is None)
     verdict = not too_few_trials and all(v for v in checks.values() if v is not None)
 
-    if spec.estimand == "mean":
+    estimand = _ESTIMANDS[spec.tag]
+    if estimand == "mean":
         normalizations = {"mean": mean, "total": mean * inst.population.size}
-    elif spec.estimand == "total":
+    elif estimand == "total":
         normalizations = {"total": mean, "mean": mean / inst.population.size}
     else:
         normalizations = None
 
     return MomentReport(
         estimator_tag=spec.tag,
-        estimand=spec.estimand,
+        estimand=estimand,
         design=config.design,
         theoretical={"mean": theo.mean, "variance": theo.variance},
         enumerated=None if enum is None else {"mean": enum.mean, "variance": enum.variance},
@@ -624,9 +622,11 @@ def relative_efficiency(
         var_wor = enumerate_moments(inst, wor_cfg).variance
         var_wr = enumerate_moments(inst, wr_cfg).variance
         method = "enumeration"
-    except EnumerationLimitError:
+    except EnumerationLimitError as exc:
         if seed is None or trials is None:
-            raise
+            raise EnumerationLimitError(
+                f"{exc}; a seed and trials (--seed, --trials) run the Monte Carlo fallback"
+            ) from exc
         # The same draws run_monte_carlo makes at these seeds, without its
         # oracle try and its bands, which this report does not use.
         emp_wor = _empirical(simulate_blocks(inst, wor_cfg, trials, seed))

@@ -289,6 +289,49 @@ def test_enumerate_refuses_the_run_flags(tmp_path, capsys, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in err and "Traceback" not in err
 
 
+SRS2 = '{"design": "srs", "n": 2}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--population", "{pop}", "--design", SRS2, "--trials", "0"],
+        ["verify", "--design", SRS2, "--seed", "1"],
+        ["verify", "--population", "{pop}", "--design", SRS2, "--trials", "x", "--seed", "1"],
+        ["estimate", "--population", "{pop}", "--design", SRS2],
+        ["enumerate", "--population", "{pop}", "--design", SRS2, "--format", "xml"],
+        [],
+    ],
+    ids=["run-flag-on-enumerate", "no-population", "non-integer-trials", "unknown-command",
+         "unknown-format", "no-command"],
+)
+def test_a_usage_error_is_one_error_line(tmp_path, capsys, argv):
+    # argparse's own refusals read like every other exit-1 failure: no usage
+    # text, no "finpop: error:" prefix.
+    pop = write(tmp_path, "pop.json", POP5)
+    code = main([arg.replace("{pop}", pop) for arg in argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["compare", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: finpop")
+
+
+def test_compare_past_the_enumeration_limit_names_the_seed(tmp_path, capsys):
+    # 40 * 39 * ... * 35 ordered outcomes: without a seed there is no
+    # Monte Carlo fallback, and the refusal says what would run it.
+    pop = write(tmp_path, "pop.json", {"values": list(range(40))})
+    code = main(["compare", "--population", pop, "--design", '{"design": "srs", "n": 6}'])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "exceed the enumeration limit" in err and "--seed" in err
+
+
 @pytest.mark.parametrize(
     "flag, words",
     [(["--trials", "0"], "trials must be >= 1, got 0"),

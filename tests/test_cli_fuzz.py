@@ -1,6 +1,8 @@
 """Fuzz of the command line: whatever the population file and design hold,
 `finpop` exits 0, 1 or 2, writes nothing to stderr but `error:` lines (a
-warning would reach stderr too), and prints JSON unless it exits 1."""
+warning would reach stderr too), and prints JSON unless it exits 1.  One
+example in eight also gets an argv fault, which must exit 1 with one
+`error:` line."""
 
 import contextlib
 import io
@@ -28,6 +30,11 @@ def mostly(valid, invalid=junk):
     the input checks (st.one_of would weigh each branch of junk alike)."""
     return st.integers(0, 7).flatmap(lambda k: invalid if k == 7 else valid)
 
+
+# Each argv fault's extra arguments.  run-flag adds none but gives every
+# command the run flags, which is a fault on enumerate only.
+FAULTS = {"run-flag": [], "unknown-flag": ["--trails", "5"],
+          "non-integer-trials": ["--trials", "2.5"]}
 
 count = mostly(st.integers(1, 6))
 counts = mostly(st.lists(st.integers(1, 6), min_size=2, max_size=4))
@@ -78,13 +85,15 @@ def designs(draw):
     design=designs(),
     trials=st.integers(-1, 200),
     seed=st.integers(-1, 2**64),
+    fault=mostly(st.none(), st.sampled_from(list(FAULTS))),
 )
-def test_cli_exits_cleanly(tmp_path_factory, command, population, design, trials, seed):
+def test_cli_exits_cleanly(tmp_path_factory, command, population, design, trials, seed, fault):
     path = tmp_path_factory.mktemp("fuzz") / "pop.json"
     path.write_text(json.dumps(population))
     argv = [command, "--population", str(path), "--design", json.dumps(design)]
-    if command != "enumerate":  # enumerate takes no run flags
+    if command != "enumerate" or fault == "run-flag":  # enumerate takes no run flags
         argv += ["--trials", str(trials), "--seed", str(seed)]
+    argv += FAULTS.get(fault, [])
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -96,3 +105,5 @@ def test_cli_exits_cleanly(tmp_path_factory, command, population, design, trials
     assert all(line.startswith("error:") for line in err.splitlines()), err
     if code != 1:
         json.loads(out)
+    if fault is not None and (fault != "run-flag" or command == "enumerate"):
+        assert (code, out) == (1, "") and err.count("\n") == 1, err

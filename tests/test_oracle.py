@@ -178,7 +178,7 @@ def test_verify_still_offers_every_name():
 
 def _spec(universe, n, replacement):
     return oracle.EstimatorSpec(
-        "sample_mean", "mean", universe, n, replacement, (0.0,) * universe, None, None
+        "sample_mean", universe, n, replacement, (0.0,) * universe, None, None
     )
 
 
