@@ -14,7 +14,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .distributions import _multinomial_pmf, _probabilities, mvhyper_pmf
+from .distributions import CountVector, _multinomial_pmf, _probabilities, mvhyper_pmf
+from .population import _trusted
 from .verify import (
     COUNT_DESIGNS,
     DesignConfig,
@@ -100,9 +101,10 @@ def cmd_enumerate(args: argparse.Namespace, inst: Instance, config: DesignConfig
         dist = enumerate_count_distribution(inst.classified, config.n, replacement)
         mean, cov = count_moments(dist)
         cp, props = inst.classified, _probabilities(inst.classified.proportions)
-        # The states are K-long count tuples, so the pmf core skips the
-        # per-state checks of the public multinomial_pmf.
-        pmf = lambda c: _multinomial_pmf(c, props) if replacement else mvhyper_pmf(c, cp)
+        # The states are K-long tuples of counts >= 0, so no state is checked
+        # again: counts_wr takes the pmf core, counts a trusted CountVector.
+        pmf = lambda c: (_multinomial_pmf(c, props) if replacement
+                         else mvhyper_pmf(_trusted(CountVector, counts=c), cp))
         record = {
             "design": config.design,
             "n": config.n,

@@ -12,7 +12,8 @@ from typing import Sequence
 import numpy as np
 
 from .population import (
-    NetworkPartition, Population, SizeWeights, as_index, as_indices, check_covers, sample_size,
+    NetworkPartition, Population, SizeWeights, _trusted, as_index, as_indices, check_covers,
+    sample_size,
 )
 
 MAX_UNIVERSE = 2**63  # numpy's int64 draws take values 0 .. 2**63 - 1
@@ -35,15 +36,6 @@ class DrawSequence:
             raise ValueError("without-replacement draw sequence has repeated indices")
         object.__setattr__(self, "indices", indices)
 
-    @classmethod
-    def _unchecked(cls, indices: tuple[int, ...], replacement: bool) -> "DrawSequence":
-        """A draw sequence built by finpop's own samplers, which always pass
-        __post_init__'s checks (the tests rebuild every one through them)."""
-        seq = object.__new__(cls)
-        object.__setattr__(seq, "indices", indices)
-        object.__setattr__(seq, "replacement", replacement)
-        return seq
-
     @property
     def n(self) -> int:
         return len(self.indices)
@@ -61,13 +53,6 @@ class GroupedSample:
         if len(set(flat)) != len(flat):
             raise ValueError("groups must be disjoint")
         object.__setattr__(self, "groups", groups)
-
-    @classmethod
-    def _unchecked(cls, groups: tuple[tuple[int, ...], ...]) -> "GroupedSample":
-        """Groups cut by random_group_split from a checked draw sequence."""
-        grouped = object.__new__(cls)
-        object.__setattr__(grouped, "groups", groups)
-        return grouped
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -108,7 +93,8 @@ def _srs(N: int, n: int, replacement: bool, rng: np.random.Generator) -> DrawSeq
     if N > MAX_UNIVERSE:
         raise ValueError(f"cannot draw from {N} units: numpy's int64 draws reach at most 2**63")
     if replacement:
-        return DrawSequence._unchecked(tuple(rng.integers(0, N, size=n).tolist()), True)
+        return _trusted(DrawSequence, indices=tuple(rng.integers(0, N, size=n).tolist()),
+                        replacement=True)
     # Draw k is uniform on 0..N-1-k.  The bounds are uint64 because int64
     # cannot hold N = 2**63, and numpy would then take them as float64.
     draws = rng.integers(0, np.arange(N, N - n, -1, dtype=np.uint64)).tolist()
@@ -117,7 +103,7 @@ def _srs(N: int, n: int, replacement: bool, rng: np.random.Generator) -> DrawSeq
     for k, j in zip(range(N - 1, N - 1 - n, -1), draws):
         out.append(moved.get(j, j))
         moved[j] = moved.get(k, k)
-    return DrawSequence._unchecked(tuple(out), False)
+    return _trusted(DrawSequence, indices=tuple(out), replacement=False)
 
 
 def pps_wr(w: SizeWeights, n: int, rng: np.random.Generator) -> DrawSequence:
@@ -125,7 +111,7 @@ def pps_wr(w: SizeWeights, n: int, rng: np.random.Generator) -> DrawSequence:
     positions, each mapped to the unit owning it, so every draw selects unit
     i with probability sizes[i]/total."""
     positions = _srs(w.total, sample_size(n, w.total, True), True, rng)
-    return DrawSequence._unchecked(w.units_of(positions.indices), True)
+    return _trusted(DrawSequence, indices=w.units_of(positions.indices), replacement=True)
 
 
 def pps_wor_extended(
@@ -175,4 +161,4 @@ def random_group_split(seq: DrawSequence, sizes: Sequence[int]) -> GroupedSample
     for s in sizes:
         groups.append(seq.indices[start : start + s])
         start += s
-    return GroupedSample._unchecked(tuple(groups))
+    return _trusted(GroupedSample, groups=tuple(groups))

@@ -11,7 +11,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from .designs import _srs
-from .population import ClassifiedPopulation, as_index, as_indices, as_reals, sample_size
+from .population import (
+    ClassifiedPopulation, _trusted, as_index, as_indices, as_reals, sample_size,
+)
 
 PROB_SUM_TOL = 1e-12
 
@@ -25,14 +27,6 @@ class CountVector:
     def __post_init__(self) -> None:
         counts = as_indices(self.counts, "count", 0)
         object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def _unchecked(cls, counts: tuple[int, ...]) -> "CountVector":
-        """Counts tallied by sample_counts, which always pass __post_init__'s
-        checks (the tests rebuild every one through them)."""
-        vector = object.__new__(cls)
-        object.__setattr__(vector, "counts", counts)
-        return vector
 
     @property
     def n(self) -> int:
@@ -144,4 +138,4 @@ def sample_counts(
     counts = [0] * cp.num_groups
     for k in cp.weights.units_of(units):
         counts[k] += 1
-    return CountVector._unchecked(tuple(counts))
+    return _trusted(CountVector, counts=tuple(counts))

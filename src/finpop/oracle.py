@@ -119,7 +119,7 @@ def _outcome_chunks(spec: EstimatorSpec) -> Iterator[tuple[np.ndarray, Optional[
         if not len(idx):
             return
         weights = None
-        if spec.replacement:
+        if spec.replacement and spec.universe > 1:  # one outcome's weight cancels
             # Rows are sorted, so runs[:, j] (j + 1 less the column where its
             # run starts) numbers the copies of idx[:, j] seen so far, and the
             # product of (j + 1) / runs[:, j] is n! / prod m_j!.  It never

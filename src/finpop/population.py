@@ -10,7 +10,20 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, TypeVar
+
+R = TypeVar("R")
+
+
+def _trusted(cls: type[R], **fields) -> R:
+    """A frozen cls record holding fields as given, without running cls's
+    __post_init__: the one way finpop builds a record from parts its own
+    rules have already checked (sampler draws, network ids, transformed
+    populations).  Outside input goes through the checking constructor; the
+    tests rebuild every trusted record through it and require no change."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
 
 
 def as_index(value: object, what: str) -> int:
@@ -301,9 +314,8 @@ class NetworkPartition:
         """The partition of pop whose unit i lies in network ids[i], for ids
         that use every one of 0..k-1, as from_assignment and compute_networks
         make them.  Such a partition passes __post_init__'s checks by
-        construction (the tests rebuild every one through them), so they are
-        skipped.  Each mean is the plain sum over the count, summed in unit
-        order, unless that sum overflows."""
+        construction, so it is built _trusted.  Each mean is the plain sum
+        over the count, summed in unit order, unless that sum overflows."""
         sums = array("d", bytes(8 * k))
         counts = array("q", bytes(8 * k))
         for v, g in zip(pop.values, ids):
@@ -316,12 +328,9 @@ class NetworkPartition:
                 else _clamped_mean([v for v, h in zip(pop.values, ids) if h == g])
                 for g, (mean, s) in enumerate(zip(means, sums))
             )
-        part = object.__new__(cls)
         # One int object per network, shared by its units.
-        object.__setattr__(part, "assignment", tuple(map(list(range(k)).__getitem__, ids)))
-        object.__setattr__(part, "network_sizes", tuple(counts))
-        object.__setattr__(part, "network_means", means)
-        return part
+        return _trusted(cls, assignment=tuple(map(list(range(k)).__getitem__, ids)),
+                        network_sizes=tuple(counts), network_means=means)
 
 
 def _clamped_mean(members: list[float]) -> float:
@@ -351,10 +360,11 @@ def pps_ratios(pop: Population, w: SizeWeights, units: Iterable[int]) -> tuple[f
 
 def extend_pps(pop: Population, w: SizeWeights) -> Population:
     """Extended population of size total(w): unit i contributes sizes[i] copies
-    of Y_i / Z_i.  Its mean is the original population total."""
+    of Y_i / Z_i.  Its mean is the original population total.  pps_ratios
+    has checked every ratio, so the t_M copies are not walked again."""
     check_covers(pop, w.num_units)
     ratios = pps_ratios(pop, w, range(pop.size))
-    return Population(tuple(chain.from_iterable(map(repeat, ratios, w.sizes))))
+    return _trusted(Population, values=tuple(chain.from_iterable(map(repeat, ratios, w.sizes))))
 
 
 def compute_networks(pop: Population, adj: Adjacency, threshold: float) -> NetworkPartition:
@@ -384,4 +394,4 @@ def flatten_networks(pop: Population, partition: NetworkPartition) -> Population
     """Replace every unit's value by the mean of its network.  Preserves the
     population mean and removes within-network variance."""
     check_covers(pop, partition.num_units)
-    return Population(tuple(partition.means_of(range(pop.size))))
+    return _trusted(Population, values=tuple(partition.means_of(range(pop.size))))

@@ -24,8 +24,8 @@ from .oracle import (
     enumerate_count_distribution, exact_moments,
 )
 from .population import (
-    Adjacency, ClassifiedPopulation, NetworkPartition, Population, SizeWeights, as_index,
-    as_indices, as_reals, check_covers, compute_networks, extend_pps, flatten_networks,
+    Adjacency, ClassifiedPopulation, NetworkPartition, Population, SizeWeights, _trusted,
+    as_index, as_indices, as_reals, check_covers, compute_networks, extend_pps, flatten_networks,
     pps_ratios, sample_size,
 )
 from .distributions import fpc
@@ -371,7 +371,8 @@ def _chunk_draw(
     count = _tabulated_outcomes(table_universe, n, spec.replacement, trials)
     if count is not None:
         if sizes is not None:
-            values = values[list(SizeWeights(sizes).units_of(range(table_universe)))]
+            weights = _trusted(SizeWeights, sizes=sizes)  # the spec took them from a SizeWeights
+            values = values[list(weights.units_of(range(table_universe)))]
         table = _outcome_table(spec, values, count)
         return lambda rng, size: table[rng.integers(0, count, size=size)], 1
     width = n

@@ -15,6 +15,7 @@ from finpop import (
     Population,
     SizeWeights,
     acs,
+    extend_pps,
     pps_wor_extended,
     pps_wr,
     random_group_split,
@@ -23,6 +24,8 @@ from finpop import (
 )
 from finpop.designs import DrawSequence, GroupedSample
 from finpop.distributions import CountVector
+from finpop.population import _trusted
+from finpop.verify import DesignConfig, Instance, enumerate_count_distribution, estimator_spec
 
 from conftest import ScriptedRng, compositions
 
@@ -273,8 +276,9 @@ def _all_ints(values):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_sampler_output_equals_its_checked_rebuild(data):
-    # The samplers build their output without re-running the public
-    # constructors' checks; rebuilding it through them must change nothing.
+    # The samplers, and the other builders of records from checked parts,
+    # skip the public constructors' checks (population._trusted); rebuilding
+    # each record through them must change nothing.
     N = data.draw(st.integers(1, 30), label="N")
     replacement = data.draw(st.booleans(), label="replacement")
     n = data.draw(st.integers(1, 2 * N if replacement else N), label="n")
@@ -310,3 +314,20 @@ def test_sampler_output_equals_its_checked_rebuild(data):
     count_n = data.draw(st.integers(1, cp.size), label="count_n")
     c = sample_counts(cp, count_n, replacement, rng)
     assert CountVector(c.counts) == c and _all_ints(c.counts) and c.n == count_n
+
+    # The PPS extended population, float for float.
+    values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=N, max_size=N), label="values")
+    ext = extend_pps(Population(tuple(values)), w)
+    checked = Population(tuple(
+        y / (z / w.total) for y, z in zip(map(float, values), sizes) for _ in range(z)
+    ))
+    assert ext == checked and all(type(v) is float for v in ext.values)
+    # The size weights the pps_wr outcome table maps positions with.
+    spec = estimator_spec(Instance(pop, w), DesignConfig("pps_wr", n=n))
+    assert _trusted(SizeWeights, sizes=spec.weight_sizes) == w == SizeWeights(spec.weight_sizes)
+    # The count states finpop enumerate passes to mvhyper_pmf, on at most
+    # three classes so that the chain stays small.
+    small = ClassifiedPopulation(tuple(sizes[:3]))
+    states = enumerate_count_distribution(small, min(count_n, small.size), replacement)
+    for state in states:
+        assert CountVector(state).counts == state and _all_ints(state)
